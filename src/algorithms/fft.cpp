@@ -1,38 +1,84 @@
 #include "algorithms/fft.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace ppa::algo {
 
-void fft(std::span<Complex> xs, bool inverse) {
-  const std::size_t n = xs.size();
-  assert(is_power_of_two(n) && "fft requires a power-of-two length");
-  if (n <= 1) return;
+namespace {
 
-  // Bit-reversal permutation.
+/// Twiddles and bit-reversal partners for one (n, inverse). twiddle holds
+/// stage len's len/2 factors at offset len/2 - 1 (n - 1 in all); swaps holds
+/// the (i, j) pairs, i < j, of the bit-reversal permutation in visit order.
+struct FftTable {
+  std::size_t n = 0;
+  bool inverse = false;
+  std::vector<Complex> twiddle;
+  std::vector<std::pair<std::size_t, std::size_t>> swaps;
+};
+
+const FftTable& fft_table(std::size_t n, bool inverse) {
+  thread_local FftTable table;
+  if (table.n == n && table.inverse == inverse) return table;
+  table.n = 0;  // stays invalid if a reallocation below throws
+
+  table.swaps.clear();
   for (std::size_t i = 1, j = 0; i < n; ++i) {
     std::size_t bit = n >> 1;
     for (; j & bit; bit >>= 1) j ^= bit;
     j ^= bit;
-    if (i < j) std::swap(xs[i], xs[j]);
+    if (i < j) table.swaps.emplace_back(i, j);
   }
 
-  // Butterflies.
+  // Each stage's factors come from the w *= wlen recurrence, so a butterfly
+  // multiplies by exactly the w a per-butterfly recurrence would produce.
+  table.twiddle.resize(n - 1);
   const double sign = inverse ? 1.0 : -1.0;
   for (std::size_t len = 2; len <= n; len <<= 1) {
     const double angle = sign * 2.0 * std::numbers::pi / static_cast<double>(len);
     const Complex wlen(std::cos(angle), std::sin(angle));
+    Complex* w_k = table.twiddle.data() + (len / 2 - 1);
+    Complex w(1.0, 0.0);
+    for (std::size_t k = 0; k < len / 2; ++k) {
+      w_k[k] = w;
+      w *= wlen;
+    }
+  }
+  table.n = n;
+  table.inverse = inverse;
+  return table;
+}
+
+}  // namespace
+
+void fft(std::span<Complex> xs, bool inverse) {
+  const std::size_t n = xs.size();
+  if (n != 0 && !is_power_of_two(n)) {
+    throw std::invalid_argument("fft: length " + std::to_string(n) +
+                                " is not a power of two");
+  }
+  if (n <= 1) return;
+  const FftTable& table = fft_table(n, inverse);
+
+  // Bit-reversal permutation.
+  for (const auto& [i, j] : table.swaps) std::swap(xs[i], xs[j]);
+
+  // Butterflies.
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
+    const Complex* w = table.twiddle.data() + (half - 1);
     for (std::size_t i = 0; i < n; i += len) {
-      Complex w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const Complex u = xs[i + k];
-        const Complex v = xs[i + k + len / 2] * w;
-        xs[i + k] = u + v;
-        xs[i + k + len / 2] = u - v;
-        w *= wlen;
+      Complex* lo = xs.data() + i;
+      Complex* hi = lo + half;
+      for (std::size_t k = 0; k < half; ++k) {
+        const Complex u = lo[k];
+        const Complex v = hi[k] * w[k];
+        lo[k] = u + v;
+        hi[k] = u - v;
       }
     }
   }

@@ -23,9 +23,20 @@ using Complex = std::complex<double>;
   return n != 0 && (n & (n - 1)) == 0;
 }
 
-/// In-place iterative radix-2 FFT. `xs.size()` must be a power of two.
-/// `inverse` applies the conjugate transform *and* the 1/n normalization, so
-/// fft(fft(x), inverse) == x.
+/// In-place iterative radix-2 FFT. `inverse` applies the conjugate
+/// transform *and* the 1/n normalization, so fft(fft(x), inverse) == x.
+///
+/// Throws std::invalid_argument, in every build type, unless `xs.size()` is
+/// a power of two or zero (an empty span is left as is).
+///
+/// Twiddle factors and bit-reversal swap pairs come from a `thread_local`
+/// table for the last (n, inverse) the calling thread transformed; a call
+/// with another (n, inverse) rebuilds it, so repeated rows or columns of one
+/// length pay for it once per thread. Stage `len`'s factors are built with
+/// the textbook recurrence w_0 = 1, w_{k+1} = w_k * wlen (wlen =
+/// exp(∓2πi/len)), so every butterfly multiplies by the same w, with the
+/// same std::complex operator*, as a per-butterfly recurrence would and the
+/// output is bitwise unchanged. Safe to call from any number of threads.
 void fft(std::span<Complex> xs, bool inverse = false);
 
 /// Naive O(n^2) DFT (forward, unnormalized) — test oracle; any size.

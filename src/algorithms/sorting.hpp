@@ -11,7 +11,6 @@
 #include <cassert>
 #include <cstddef>
 #include <functional>
-#include <queue>
 #include <span>
 #include <vector>
 
@@ -33,39 +32,70 @@ void insertion_sort(std::span<T> xs, Compare cmp = {}) {
   }
 }
 
+namespace detail {
+
+/// Runs at most this long are insertion-sorted by merge_sort.
+inline constexpr std::size_t kMergeSortBase = 24;
+
+/// Stable merge of sorted [a, a + na) and [b, b + nb) into out[0, na + nb):
+/// on ties the element of `a` goes first.
+template <typename T, typename Compare>
+void merge_into(const T* a, std::size_t na, const T* b, std::size_t nb, T* out,
+                Compare& cmp) {
+  const T* const a_end = a + na;
+  const T* const b_end = b + nb;
+  while (a != a_end && b != b_end) {
+    // Select rather than branch: on unsorted input the outcome is a coin
+    // flip, and a mispredicted branch costs more than the copy.
+    const bool take_b = cmp(*b, *a);
+    *out++ = take_b ? *b : *a;
+    b += take_b;
+    a += !take_b;
+  }
+  out = std::copy(a, a_end, out);
+  std::copy(b, b_end, out);
+}
+
+/// Top-down ping-pong mergesort step. On entry src[0, n) and dst[0, n) hold
+/// the same elements; on exit dst[0, n) holds them stably sorted and src is
+/// scratch. Each level sorts its halves into src, then merges them back into
+/// dst, so the whole sort uses one scratch buffer.
+template <typename T, typename Compare>
+void merge_sort_into(T* src, T* dst, std::size_t n, Compare& cmp) {
+  if (n <= kMergeSortBase) {
+    insertion_sort(std::span<T>(dst, n), cmp);
+    return;
+  }
+  const std::size_t mid = n / 2;
+  merge_sort_into(dst, src, mid, cmp);
+  merge_sort_into(dst + mid, src + mid, n - mid, cmp);
+  merge_into<T>(src, mid, src + mid, n - mid, dst, cmp);
+}
+
+}  // namespace detail
+
 /// Stable two-way merge of sorted ranges a and b into `out` (appended).
 template <typename T, typename Compare = std::less<T>>
 void merge_two(std::span<const T> a, std::span<const T> b, std::vector<T>& out,
                Compare cmp = {}) {
-  out.reserve(out.size() + a.size() + b.size());
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (cmp(b[j], a[i])) {
-      out.push_back(b[j++]);
-    } else {
-      out.push_back(a[i++]);
-    }
-  }
-  for (; i < a.size(); ++i) out.push_back(a[i]);
-  for (; j < b.size(); ++j) out.push_back(b[j]);
+  const std::size_t base = out.size();
+  out.resize(base + a.size() + b.size());
+  detail::merge_into<T>(a.data(), a.size(), b.data(), b.size(),
+                        out.data() + base, cmp);
 }
 
 /// Classic top-down sequential mergesort (the paper's section 3.5.1
-/// sequential algorithm); stable.
+/// sequential algorithm); stable. Splits at the midpoint down to runs of 24,
+/// which are insertion-sorted, and merges back up through one scratch copy
+/// of `xs` (the only allocation).
 template <typename T, typename Compare = std::less<T>>
 void merge_sort(std::vector<T>& xs, Compare cmp = {}) {
-  constexpr std::size_t kBase = 24;
-  if (xs.size() <= kBase) {
+  if (xs.size() <= detail::kMergeSortBase) {
     insertion_sort(std::span<T>(xs), cmp);
     return;
   }
-  const std::size_t mid = xs.size() / 2;
-  std::vector<T> left(xs.begin(), xs.begin() + static_cast<std::ptrdiff_t>(mid));
-  std::vector<T> right(xs.begin() + static_cast<std::ptrdiff_t>(mid), xs.end());
-  merge_sort(left, cmp);
-  merge_sort(right, cmp);
-  xs.clear();
-  merge_two(std::span<const T>(left), std::span<const T>(right), xs, cmp);
+  std::vector<T> scratch(xs);
+  detail::merge_sort_into(scratch.data(), xs.data(), xs.size(), cmp);
 }
 
 /// Sequential quicksort with median-of-three pivoting (the paper's section
@@ -103,34 +133,54 @@ void quick_sort(std::span<T> xs, Compare cmp = {}) {
 }
 
 /// K-way merge of sorted runs (stable across run order) — the local merge of
-/// the one-deep mergesort's merge phase.
+/// the one-deep mergesort's merge phase. A loser tree over the run heads:
+/// each output element costs one root-to-leaf replay of ceil(log2 k)
+/// compares, and equal heads go to the lower run index first.
 template <typename T, typename Compare = std::less<T>>
 std::vector<T> kway_merge(const std::vector<std::vector<T>>& runs, Compare cmp = {}) {
-  struct Head {
-    std::size_t run;
-    std::size_t pos;
-  };
-  const auto head_greater = [&](const Head& a, const Head& b) {
-    const T& va = runs[a.run][a.pos];
-    const T& vb = runs[b.run][b.pos];
-    if (cmp(va, vb)) return false;
-    if (cmp(vb, va)) return true;
-    return a.run > b.run;  // tie-break by run index for stability
-  };
-  std::priority_queue<Head, std::vector<Head>, decltype(head_greater)> heap(
-      head_greater);
+  const std::size_t k = runs.size();
   std::size_t total = 0;
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    total += runs[r].size();
-    if (!runs[r].empty()) heap.push({r, 0});
+  for (const auto& r : runs) total += r.size();
+  std::vector<T> out(total);
+  if (total == 0) return out;
+
+  // Leaves are padded to a power of two with empty runs.
+  std::size_t leaves = 1;
+  while (leaves < k) leaves <<= 1;
+  std::vector<const T*> head(leaves, nullptr), end(leaves, nullptr);
+  for (std::size_t r = 0; r < k; ++r) {
+    head[r] = runs[r].data();
+    end[r] = runs[r].data() + runs[r].size();
   }
-  std::vector<T> out;
-  out.reserve(total);
-  while (!heap.empty()) {
-    const Head h = heap.top();
-    heap.pop();
-    out.push_back(runs[h.run][h.pos]);
-    if (h.pos + 1 < runs[h.run].size()) heap.push({h.run, h.pos + 1});
+  // Does leaf a's head come out before leaf b's? Exhausted leaves never do;
+  // on equal keys the lower leaf (run) index goes first.
+  const auto before = [&](std::size_t a, std::size_t b) {
+    if (head[a] == end[a]) return false;
+    if (head[b] == end[b]) return true;
+    return a < b ? !cmp(*head[b], *head[a]) : cmp(*head[a], *head[b]);
+  };
+
+  // loser[v] for internal node v in [1, leaves) holds the leaf that lost the
+  // match at v; build bottom-up from each subtree's winner.
+  std::vector<std::size_t> loser(leaves), winner(2 * leaves);
+  for (std::size_t l = 0; l < leaves; ++l) winner[leaves + l] = l;
+  for (std::size_t v = leaves - 1; v >= 1; --v) {
+    const std::size_t a = winner[2 * v];
+    const std::size_t b = winner[2 * v + 1];
+    const bool a_wins = before(a, b);
+    winner[v] = a_wins ? a : b;
+    loser[v] = a_wins ? b : a;
+  }
+  std::size_t w = winner[1];
+  for (T& slot : out) {
+    slot = *head[w]++;
+    // Replay the matches on the path from w's leaf to the root.
+    for (std::size_t v = (leaves + w) / 2; v >= 1; v /= 2) {
+      const std::size_t l = loser[v];
+      const bool l_wins = before(l, w);
+      loser[v] = l_wins ? w : l;
+      w = l_wins ? l : w;
+    }
   }
   return out;
 }

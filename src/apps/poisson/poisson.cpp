@@ -116,17 +116,7 @@ PoissonResult poisson_process(mpl::Process& p, const mpl::CartGrid2D& pgrid,
                 0.25;
   };
 
-  // Kernel path: raw row-pointer views over the same storage; identical
-  // per-element expression (h2 == h*h bitwise), column-tiled core sweep.
-  auto ukpv = mesh::field_view(ukp);
-  const auto ukv = mesh::field_view(std::as_const(uk));
-  const auto fvv = mesh::field_view(std::as_const(fv));
   const double h2 = h * h;
-  const auto jacobi_rows = [&](std::ptrdiff_t i, std::ptrdiff_t j0,
-                               std::ptrdiff_t j1) {
-    mesh::kern::jacobi_row(ukpv.row(i), ukv.row(i - 1), ukv.row(i),
-                           ukv.row(i + 1), fvv.row(i), h2, j0, j1);
-  };
 
   PoissonResult result;
   while (diffmax.get() > prob.tolerance && result.iterations < prob.max_iters) {
@@ -137,7 +127,19 @@ PoissonResult poisson_process(mpl::Process& p, const mpl::CartGrid2D& pgrid,
     // Grid operation over the local section of the interior: core while the
     // exchange is in flight, rim after it completes. Per-point arithmetic
     // is identical to the blocking schedule (bitwise-equal iterates).
+    double local_diffmax = 0.0;
     if (prob.sweep == mesh::SweepMode::kKernel) {
+      // One fused pass writes ukp and folds the reduction's local max. The
+      // views are taken per iteration because uk and ukp swap storage.
+      const auto ukpv = mesh::field_view(ukp);
+      const auto ukv = mesh::field_view(std::as_const(uk));
+      const auto fvv = mesh::field_view(std::as_const(fv));
+      const auto jacobi_rows = [&](std::ptrdiff_t i, std::ptrdiff_t j0,
+                                   std::ptrdiff_t j1) {
+        local_diffmax = mesh::kern::jacobi_row_maxdiff(
+            ukpv.row(i), ukv.row(i - 1), ukv.row(i), ukv.row(i + 1),
+            fvv.row(i), h2, j0, j1, local_diffmax);
+      };
       mesh::kern::sweep_rows_tiled(
           core, mesh::kern::auto_tile_j(5 * sizeof(double), core.j1 - core.j0),
           jacobi_rows);
@@ -147,30 +149,23 @@ PoissonResult poisson_process(mpl::Process& p, const mpl::CartGrid2D& pgrid,
       mesh::for_region(core, jacobi_point);
       plan.end_exchange(p, uk);
       mesh::for_rim(update, core, jacobi_point);
-    }
-
-    // Reduction: local max then allreduce; postcondition re-establishes the
-    // copy consistency of diffmax on every process.
-    double local_diffmax = 0.0;
-    if (prob.sweep == mesh::SweepMode::kKernel) {
-      for (std::ptrdiff_t i = ilo; i < ihi; ++i) {
-        local_diffmax = mesh::kern::absdiff_max_row(ukpv.row(i), ukv.row(i),
-                                                    jlo, jhi, local_diffmax);
-      }
-    } else {
       for (std::ptrdiff_t i = ilo; i < ihi; ++i) {
         for (std::ptrdiff_t j = jlo; j < jhi; ++j) {
           local_diffmax = std::max(local_diffmax, std::abs(ukp(i, j) - uk(i, j)));
         }
       }
     }
+
+    // Reduction: local max then allreduce; postcondition re-establishes the
+    // copy consistency of diffmax on every process.
     diffmax.store_replicated(p, p.allreduce(local_diffmax, mpl::MaxOp{}));
 
+    // New values become old values. The kernel path swaps storage instead
+    // of copying: only the update region is ever written, the boundary
+    // cells are equal in both grids from initialization, and the ghosts of
+    // the new iterate are refreshed by the next exchange before any read.
     if (prob.sweep == mesh::SweepMode::kKernel) {
-      auto ukw = mesh::field_view(uk);
-      for (std::ptrdiff_t i = ilo; i < ihi; ++i) {
-        mesh::kern::copy_row(ukw.row(i), ukpv.row(i), jlo, jhi);
-      }
+      std::swap(uk, ukp);
     } else {
       for (std::ptrdiff_t i = ilo; i < ihi; ++i) {
         for (std::ptrdiff_t j = jlo; j < jhi; ++j) uk(i, j) = ukp(i, j);
@@ -234,17 +229,20 @@ PoissonResult poisson_blocks_process(mpl::Process& p,
       uk, mesh::BlockExchangeOptions{false, 0, batched, false, 0.0});
 
   const double h2 = h * h;
-  // Per-block row-kernel sweep over a region (same kernels as the
-  // single-grid path, so block-set drivers pick up the win automatically).
+  // Per-block fused Jacobi row + residual sweep over a region (the same
+  // kernel as the single-grid path), folding into this iteration's local
+  // max. Views are taken per call because uk and ukp swap storage.
+  double local_diffmax = 0.0;
   const auto jacobi_block_rows = [&](std::size_t b, mesh::Region2 r,
                                      bool tiled) {
-    auto ukpv = mesh::field_view(ukp.block(b).grid());
+    const auto ukpv = mesh::field_view(ukp.block(b).grid());
     const auto ukv = mesh::field_view(std::as_const(uk.block(b).grid()));
     const auto fvv = mesh::field_view(std::as_const(fv.block(b).grid()));
     const auto rows = [&](std::ptrdiff_t i, std::ptrdiff_t j0,
                           std::ptrdiff_t j1) {
-      mesh::kern::jacobi_row(ukpv.row(i), ukv.row(i - 1), ukv.row(i),
-                             ukv.row(i + 1), fvv.row(i), h2, j0, j1);
+      local_diffmax = mesh::kern::jacobi_row_maxdiff(
+          ukpv.row(i), ukv.row(i - 1), ukv.row(i), ukv.row(i + 1), fvv.row(i),
+          h2, j0, j1, local_diffmax);
     };
     if (tiled) {
       mesh::kern::sweep_rows_tiled(
@@ -256,6 +254,7 @@ PoissonResult poisson_blocks_process(mpl::Process& p,
 
   PoissonResult result;
   while (diffmax.get() > prob.tolerance && result.iterations < prob.max_iters) {
+    local_diffmax = 0.0;
     plan.begin_exchange_all(p, uk);
     for (std::size_t b = 0; b < uk.size(); ++b) {
       if (prob.sweep == mesh::SweepMode::kKernel) {
@@ -287,43 +286,34 @@ PoissonResult poisson_blocks_process(mpl::Process& p,
       });
     }
 
-    double local_diffmax = 0.0;
-    for (std::size_t b = 0; b < uk.size(); ++b) {
-      auto& ukg = uk.block(b).grid();
-      auto& ukpg = ukp.block(b).grid();
-      const auto& u = update[b];
-      if (prob.sweep == mesh::SweepMode::kKernel) {
-        const auto ukv = mesh::field_view(std::as_const(ukg));
-        const auto ukpv = mesh::field_view(std::as_const(ukpg));
+    // The kernel path folded its local max into the sweep above.
+    if (prob.sweep == mesh::SweepMode::kLegacy) {
+      for (std::size_t b = 0; b < uk.size(); ++b) {
+        auto& ukg = uk.block(b).grid();
+        auto& ukpg = ukp.block(b).grid();
+        const auto& u = update[b];
         for (std::ptrdiff_t i = u.i0; i < u.i1; ++i) {
-          local_diffmax = mesh::kern::absdiff_max_row(ukpv.row(i), ukv.row(i),
-                                                      u.j0, u.j1, local_diffmax);
-        }
-        continue;
-      }
-      for (std::ptrdiff_t i = u.i0; i < u.i1; ++i) {
-        for (std::ptrdiff_t j = u.j0; j < u.j1; ++j) {
-          local_diffmax =
-              std::max(local_diffmax, std::abs(ukpg(i, j) - ukg(i, j)));
+          for (std::ptrdiff_t j = u.j0; j < u.j1; ++j) {
+            local_diffmax =
+                std::max(local_diffmax, std::abs(ukpg(i, j) - ukg(i, j)));
+          }
         }
       }
     }
     diffmax.store_replicated(p, p.allreduce(local_diffmax, mpl::MaxOp{}));
 
-    for (std::size_t b = 0; b < uk.size(); ++b) {
-      auto& ukg = uk.block(b).grid();
-      auto& ukpg = ukp.block(b).grid();
-      const auto& u = update[b];
-      if (prob.sweep == mesh::SweepMode::kKernel) {
-        auto ukw = mesh::field_view(ukg);
-        const auto ukpv = mesh::field_view(std::as_const(ukpg));
+    // Swap, not copy, on the kernel path (same contract as poisson_process:
+    // every block shares the layout, owner map, and rank the plan checks).
+    if (prob.sweep == mesh::SweepMode::kKernel) {
+      std::swap(uk, ukp);
+    } else {
+      for (std::size_t b = 0; b < uk.size(); ++b) {
+        auto& ukg = uk.block(b).grid();
+        auto& ukpg = ukp.block(b).grid();
+        const auto& u = update[b];
         for (std::ptrdiff_t i = u.i0; i < u.i1; ++i) {
-          mesh::kern::copy_row(ukw.row(i), ukpv.row(i), u.j0, u.j1);
+          for (std::ptrdiff_t j = u.j0; j < u.j1; ++j) ukg(i, j) = ukpg(i, j);
         }
-        continue;
-      }
-      for (std::ptrdiff_t i = u.i0; i < u.i1; ++i) {
-        for (std::ptrdiff_t j = u.j0; j < u.j1; ++j) ukg(i, j) = ukpg(i, j);
       }
     }
     ++result.iterations;

@@ -21,16 +21,21 @@
 //                          — rim drivers matching for_rim's order;
 //   * jacobi_row / jacobi_sweep[_tiled], absdiff_max_row, copy_row
 //                          — the shared 5-point Jacobi kernels used by the
-//                            poisson app and the ablation bench.
+//                            ablation bench and the step-replay probe;
+//   * jacobi_row_maxdiff   — the fused one-pass Jacobi row + residual max
+//                            the poisson app's kernel path runs.
 //
 // Bitwise contract: every kernel evaluates each output element with exactly
 // the same floating-point expression and per-element operation order as the
 // legacy per-point code. Tiling only reorders *which element is computed
 // when* — outputs are disjoint from inputs in all stencil sweeps, so
-// results are bitwise-identical. Reduction kernels (absdiff_max_row) keep
-// strict forward order. The build stays on portable flags by default (no
-// fast-math anywhere; PPA_NATIVE_ARCH affects bench executables only), so
-// no FMA-contraction or reassociation divergence is introduced.
+// results are bitwise-identical. absdiff_max_row keeps strict forward order;
+// jacobi_row_maxdiff splits its max over 4 lanes, which yields the same bits
+// because a max over non-NaN values does not depend on order and a NaN
+// candidate is skipped by every lane exactly as std::max skips it. The
+// build stays on portable flags by default (no fast-math anywhere;
+// PPA_NATIVE_ARCH affects bench executables only), so no FMA-contraction or
+// reassociation divergence is introduced.
 #pragma once
 
 #include <algorithm>
@@ -211,6 +216,48 @@ template <typename T>
     running = std::max(running, std::abs(a[j] - b[j]));
   }
   return running;
+}
+
+/// Fused jacobi_row + absdiff_max_row(out, uc, j0, j1, running): writes the
+/// row and returns the running max of |out[j] - uc[j]|, in one pass. The
+/// max is kept in 4 independent lanes (each `m = m < d ? d : m`, the
+/// std::max(m, d) rule) so no iteration waits on the previous compare; the
+/// lanes are combined by the same rule. Bitwise equal to the two-pass form:
+/// d = |..| is never -0.0, a NaN d loses every compare in every lane, and
+/// over the remaining values the max is one value whatever the order — the
+/// only equal-comparing distinct bits are ±0, and -0.0 can only come from
+/// `running`, which every lane starts from and keeps on ties.
+template <typename T>
+[[nodiscard]] inline T jacobi_row_maxdiff(
+    T* PPA_RESTRICT out, const T* PPA_RESTRICT um, const T* PPA_RESTRICT uc,
+    const T* PPA_RESTRICT up, const T* PPA_RESTRICT f, T h2,
+    std::ptrdiff_t j0, std::ptrdiff_t j1, T running) {
+  constexpr int kLanes = 4;
+  const auto stencil = [&](std::ptrdiff_t j) {
+    return (um[j] + up[j] + uc[j - 1] + uc[j + 1] - h2 * f[j]) *
+           static_cast<T>(0.25);
+  };
+  T m[kLanes] = {running, running, running, running};
+  const std::ptrdiff_t n = j1 > j0 ? j1 - j0 : 0;
+  const std::ptrdiff_t j_tail = j0 + n - n % kLanes;
+  for (std::ptrdiff_t j = j0; j < j_tail; j += kLanes) {
+    // One short loop per step so the compiler vectorizes the stencil, the
+    // store and the |new - old|; only the lane max stays scalar.
+    T v[kLanes];
+    T d[kLanes];
+    for (int l = 0; l < kLanes; ++l) v[l] = stencil(j + l);
+    for (int l = 0; l < kLanes; ++l) out[j + l] = v[l];
+    for (int l = 0; l < kLanes; ++l) d[l] = std::abs(v[l] - uc[j + l]);
+    for (int l = 0; l < kLanes; ++l) m[l] = m[l] < d[l] ? d[l] : m[l];
+  }
+  for (std::ptrdiff_t j = j_tail; j < j1; ++j) {
+    const T v = stencil(j);
+    out[j] = v;
+    const T d = std::abs(v - uc[j]);
+    m[0] = m[0] < d ? d : m[0];
+  }
+  for (int l = 1; l < kLanes; ++l) m[0] = m[0] < m[l] ? m[l] : m[0];
+  return m[0];
 }
 
 /// Contiguous row-segment copy.

@@ -6,8 +6,14 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <limits>
+#include <numbers>
 #include <numeric>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "algorithms/closest_pair.hpp"
@@ -105,6 +111,62 @@ TEST(Sorting, EmptyAndSingleton) {
   quick_sort(std::span<int>(one));
   EXPECT_TRUE(empty.empty());
   EXPECT_EQ(one, (std::vector<int>{7}));
+}
+
+// Stability is only visible with equal keys that carry distinct payloads:
+// sort (key, tag) pairs by key alone and compare with std::stable_sort.
+using Tagged = std::pair<int, int>;
+constexpr auto kByKey = [](const Tagged& a, const Tagged& b) {
+  return a.first < b.first;
+};
+
+std::vector<Tagged> tagged_keys(std::size_t n, std::uint64_t seed) {
+  const auto keys = random_ints(n, 0, 7, seed);  // many equal keys
+  std::vector<Tagged> xs(n);
+  for (std::size_t i = 0; i < n; ++i) xs[i] = {keys[i], static_cast<int>(i)};
+  return xs;
+}
+
+TEST(SortStability, MergeSortMatchesStableSort) {
+  std::vector<std::size_t> sizes(101);
+  std::iota(sizes.begin(), sizes.end(), 0);
+  sizes.push_back((1u << 12) + 1);
+  for (const std::size_t n : sizes) {
+    auto xs = tagged_keys(n, 1000 + n);
+    auto expected = xs;
+    std::stable_sort(expected.begin(), expected.end(), kByKey);
+    merge_sort(xs, kByKey);
+    ASSERT_EQ(xs, expected) << "n=" << n;
+  }
+}
+
+TEST(SortStability, MergeTwoTakesLeftRunFirstOnTies) {
+  const std::vector<Tagged> a{{1, 0}, {2, 1}, {2, 2}}, b{{1, 10}, {2, 11}};
+  std::vector<Tagged> out{{0, -1}};  // merge_two appends
+  merge_two(std::span<const Tagged>(a), std::span<const Tagged>(b), out, kByKey);
+  EXPECT_EQ(out, (std::vector<Tagged>{
+                     {0, -1}, {1, 0}, {1, 10}, {2, 1}, {2, 2}, {2, 11}}));
+}
+
+TEST(SortStability, KwayMergeKeepsRunOrderForEqualKeys) {
+  for (const std::size_t k : {1u, 2u, 3u, 8u, 33u}) {
+    Rng rng(500 + k);
+    std::vector<std::vector<Tagged>> runs(k);
+    std::vector<Tagged> concat;
+    int tag = 0;
+    for (std::size_t r = 0; r < k; ++r) {
+      // Every third run is empty; the others hold 0-40 keys.
+      const auto n = (r % 3 == 1) ? 0 : static_cast<std::size_t>(rng.uniform_int(0, 40));
+      for (const int key : random_ints(n, 0, 5, rng())) runs[r].push_back({key, tag++});
+      std::stable_sort(runs[r].begin(), runs[r].end(), kByKey);
+      concat.insert(concat.end(), runs[r].begin(), runs[r].end());
+    }
+    // The stable merge of runs == stable sort of their concatenation.
+    std::stable_sort(concat.begin(), concat.end(), kByKey);
+    EXPECT_EQ(kway_merge(runs, kByKey), concat) << "k=" << k;
+  }
+  EXPECT_TRUE(kway_merge(std::vector<std::vector<int>>{}).empty());
+  EXPECT_TRUE(kway_merge(std::vector<std::vector<int>>(5)).empty());
 }
 
 TEST(Sorting, RegularSampleQuantiles) {
@@ -445,6 +507,144 @@ TEST(Fft, TrivialSizes) {
   fft(std::span<Complex>(two));
   EXPECT_NEAR(std::abs(two[0] - Complex(3.0, 0.0)), 0.0, 1e-12);
   EXPECT_NEAR(std::abs(two[1] - Complex(-1.0, 0.0)), 0.0, 1e-12);
+}
+
+TEST(Fft, NonPowerOfTwoThrows) {
+  std::vector<Complex> twelve(12, Complex(1.0, 0.0));
+  EXPECT_THROW(fft(std::span<Complex>(twelve)), std::invalid_argument);
+  EXPECT_THROW(fft(std::span<Complex>(twelve), true), std::invalid_argument);
+  std::vector<Complex> three(3);
+  EXPECT_THROW(fft(std::span<Complex>(three)), std::invalid_argument);
+  std::vector<Complex> empty;
+  EXPECT_NO_THROW(fft(std::span<Complex>(empty)));
+}
+
+// The transform as it was before twiddle tables: bit reversal and a w *= wlen
+// recurrence inside every butterfly group. fft must reproduce it bit for bit.
+void recurrence_fft(std::span<Complex> xs, bool inverse) {
+  const std::size_t n = xs.size();
+  if (n <= 1) return;
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(xs[i], xs[j]);
+  }
+  const double sign = inverse ? 1.0 : -1.0;
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const double angle = sign * 2.0 * std::numbers::pi / static_cast<double>(len);
+    const Complex wlen(std::cos(angle), std::sin(angle));
+    for (std::size_t i = 0; i < n; i += len) {
+      Complex w(1.0, 0.0);
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        const Complex u = xs[i + k];
+        const Complex v = xs[i + k + len / 2] * w;
+        xs[i + k] = u + v;
+        xs[i + k + len / 2] = u - v;
+        w *= wlen;
+      }
+    }
+  }
+  if (inverse) {
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (auto& x : xs) x *= inv_n;
+  }
+}
+
+std::vector<Complex> random_signal(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Complex> xs(n);
+  for (auto& x : xs) x = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+  return xs;
+}
+
+bool same_bits(const std::vector<Complex>& a, const std::vector<Complex>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
+}
+
+// fft(xs) and recurrence_fft(xs) agree bit for bit; checked in place of a
+// gtest assertion so it can run on worker threads.
+bool fft_matches_recurrence(std::size_t n, bool inverse, std::uint64_t seed) {
+  auto got = random_signal(n, seed);
+  auto expected = got;
+  fft(std::span<Complex>(got), inverse);
+  recurrence_fft(std::span<Complex>(expected), inverse);
+  return same_bits(got, expected);
+}
+
+TEST(FftTable, BitwiseEqualToRecurrenceAllPowersOfTwo) {
+  for (std::size_t n = 1; n <= (1u << 14); n <<= 1) {
+    for (const bool inverse : {false, true}) {
+      EXPECT_TRUE(fft_matches_recurrence(n, inverse, n + (inverse ? 7 : 0)))
+          << "n=" << n << " inverse=" << inverse;
+    }
+  }
+}
+
+TEST(FftTable, BitwiseEqualToRecurrenceWithNonFiniteInputs) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  auto xs = random_signal(64, 3);
+  xs[5] = {kInf, 0.0};
+  xs[17] = {-0.0, -kInf};
+  xs[40] = {kNan, 1.0};
+  xs[63] = {-0.0, -0.0};
+  // Every finite or infinite component keeps its bits, and NaNs appear in
+  // the same places. A NaN's sign and payload are not pinned: when both
+  // operands of an add are NaN, x86 returns the first, and the compiler may
+  // order the operands of a commutative add either way in either build.
+  const auto same_or_both_nan = [](double a, double b) {
+    return (std::isnan(a) && std::isnan(b)) || std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  for (const bool inverse : {false, true}) {
+    auto got = xs;
+    auto expected = xs;
+    fft(std::span<Complex>(got), inverse);
+    recurrence_fft(std::span<Complex>(expected), inverse);
+    for (std::size_t k = 0; k < xs.size(); ++k) {
+      EXPECT_TRUE(same_or_both_nan(got[k].real(), expected[k].real()) &&
+                  same_or_both_nan(got[k].imag(), expected[k].imag()))
+          << "bin " << k << " inverse=" << inverse << ": " << got[k] << " vs "
+          << expected[k];
+    }
+  }
+}
+
+TEST(FftTable, AlternatingSizesRebuildAndReuseTheTable) {
+  // Each step changes (n, inverse) or repeats it, so the thread's table is
+  // rebuilt and reused in turn; every result must still match.
+  const std::pair<std::size_t, bool> steps[] = {
+      {8, false},  {8, false},   {16, false}, {8, false},  {8, true},
+      {8, false},  {1024, true}, {2, false},  {1024, true}, {1024, false},
+      {16, false}, {16, true},   {1, false},  {16, true}};
+  std::uint64_t seed = 100;
+  for (const auto& [n, inverse] : steps) {
+    EXPECT_TRUE(fft_matches_recurrence(n, inverse, ++seed))
+        << "n=" << n << " inverse=" << inverse;
+  }
+}
+
+TEST(FftTable, ConcurrentThreadsWithDifferentSizes) {
+  // Four threads transform different lengths at once; each keeps its own
+  // table, so none sees another's twiddles.
+  constexpr std::size_t kSizes[] = {256, 512, 1024, 2048};
+  bool ok[4] = {false, false, false, false};
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t t = 0; t < 4; ++t) {
+      threads.emplace_back([t, &kSizes, &ok] {
+        bool all = true;
+        for (int rep = 0; rep < 20; ++rep) {
+          all = all && fft_matches_recurrence(
+                           kSizes[t], rep % 3 == 2,
+                           100 * t + static_cast<std::uint64_t>(rep));
+        }
+        ok[t] = all;
+      });
+    }
+  }  // jthreads join here
+  for (std::size_t t = 0; t < 4; ++t) EXPECT_TRUE(ok[t]) << "n=" << kSizes[t];
 }
 
 TEST(Fft, TwoDimensionalRoundtrip) {

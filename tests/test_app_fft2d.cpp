@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <complex>
+#include <stdexcept>
 #include <string>
 
 #include "apps/fft2d/fft2d.hpp"
@@ -132,6 +133,16 @@ TEST(Fft2dApp, MoreProcessesThanRows) {
   const auto v2 = app::fft2d_spmd(v1, 6);
   app::fft2d_v1(v1, seq);
   EXPECT_EQ(max_abs_diff(v1, v2), 0.0);
+}
+
+TEST(Fft2dApp, NonPowerOfTwoExtentThrowsOnEveryRankWithoutHanging) {
+  // 12 rows: the row FFTs (n=16) succeed, then every rank's column FFT
+  // (n=12) throws; the typed error reaches the caller of the SPMD driver.
+  const auto a = random_grid(12, 16, 21);
+  EXPECT_THROW((void)app::fft2d_spmd(a, 2), std::invalid_argument);
+  // And with the bad extent on the rows, before any redistribution.
+  const auto b = random_grid(16, 12, 22);
+  EXPECT_THROW((void)app::fft2d_spmd(b, 2), std::invalid_argument);
 }
 
 }  // namespace

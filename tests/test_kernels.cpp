@@ -13,7 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <utility>
 
 #include "apps/cfd/euler2d.hpp"
@@ -234,6 +239,107 @@ TEST(KernelSweeps, TiledJacobiMatchesNaiveAndLegacyBitwise) {
       EXPECT_EQ(out_tiled(i, j), out_legacy(i, j)) << i << "," << j;
     }
   }
+}
+
+TEST(KernelSweeps, FusedJacobiMaxdiffMatchesTwoPassBitwise) {
+  // jacobi_row_maxdiff == jacobi_row then absdiff_max_row, bit for bit, for
+  // every short segment length (all lane/remainder splits) at odd j0, with
+  // NaN, ±0.0 and ±inf among the inputs and several starting maxima.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double pool[] = {0.0, -0.0, 1.5, -2.25, kInf, -kInf, kNan, 1e-300,
+                         3.0, -7.5, 0.125};
+  constexpr std::size_t kPool = sizeof(pool) / sizeof(pool[0]);
+  constexpr std::size_t kLen = 16;
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t seed = 0; seed < 40; ++seed) {
+    // Rows um/uc/up/f from a seeded LCG: seeds below 20 give finite values
+    // only, the rest draw from the pool of special values.
+    std::array<std::array<double, kLen>, 4> rows{};
+    std::uint64_t state = seed + 1;
+    for (auto& row : rows) {
+      for (auto& v : row) {
+        state = state * 6364136223846793005u + 1442695040888963407u;
+        const auto r = static_cast<std::size_t>(state >> 33);
+        v = seed < 20 ? 0.37 * static_cast<double>(r % 101) - 18.0
+                      : pool[r % kPool];
+      }
+    }
+    const auto& [um, uc, up, f] = rows;
+    for (const double running : {0.0, -0.0, 2.0, kNan}) {
+      for (std::ptrdiff_t len = 0; len <= 9; ++len) {
+        for (const std::ptrdiff_t j0 : {1, 3, 5}) {
+          const std::ptrdiff_t j1 = j0 + len;
+          std::array<double, kLen> out_two{}, out_fused{};
+          mesh::kern::jacobi_row(out_two.data(), um.data(), uc.data(), up.data(),
+                                 f.data(), 0.0625, j0, j1);
+          const double two = mesh::kern::absdiff_max_row(
+              out_two.data(), uc.data(), j0, j1, running);
+          const double fused = mesh::kern::jacobi_row_maxdiff(
+              out_fused.data(), um.data(), uc.data(), up.data(), f.data(),
+              0.0625, j0, j1, running);
+          EXPECT_EQ(bits(fused), bits(two))
+              << "seed=" << seed << " len=" << len << " j0=" << j0
+              << " running=" << running;
+          for (std::ptrdiff_t j = j0; j < j1; ++j) {
+            // A NaN's sign and payload depend on which NaN operand the
+            // compiler puts first in an add, so only NaN-ness is pinned.
+            EXPECT_TRUE((std::isnan(out_fused[j]) && std::isnan(out_two[j])) ||
+                        bits(out_fused[j]) == bits(out_two[j]))
+                << "seed=" << seed << " len=" << len << " j0=" << j0
+                << " j=" << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelSweeps, PoissonToleranceStopMatchesLegacyBitwise) {
+  // With a tolerance the loop ends on the allreduced residual, so the fused
+  // lane-split max must give the legacy max bit for bit: same stopping
+  // iteration, same final_diffmax bits, same field — single-grid at np in
+  // {1, 2, 4} and the block-set driver.
+  app::PoissonProblem prob;
+  prob.nx = 41;
+  prob.ny = 35;
+  prob.tolerance = 3e-5;
+  prob.f = [](double x, double y) { return 4.0 * x - y; };
+  prob.g = [](double x, double y) { return std::sin(3.0 * x) + y * y; };
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto expect_same = [&](const app::PoissonResult& legacy,
+                               const app::PoissonResult& kernel,
+                               const char* what) {
+    EXPECT_LT(kernel.iterations, prob.max_iters) << what;
+    EXPECT_EQ(kernel.iterations, legacy.iterations) << what;
+    EXPECT_EQ(bits(kernel.final_diffmax), bits(legacy.final_diffmax)) << what;
+    ASSERT_EQ(kernel.u.rows(), legacy.u.rows()) << what;
+    ASSERT_EQ(kernel.u.cols(), legacy.u.cols()) << what;
+    EXPECT_EQ(std::memcmp(kernel.u.flat().data(), legacy.u.flat().data(),
+                          kernel.u.flat().size() * sizeof(double)),
+              0)
+        << what;
+  };
+  const auto reference = app::poisson_v1(prob);
+  for (const int np : {1, 2, 4}) {
+    const std::string what = "np=" + std::to_string(np);
+    prob.sweep = mesh::SweepMode::kLegacy;
+    const auto legacy = app::poisson_spmd(prob, np);
+    prob.sweep = mesh::SweepMode::kKernel;
+    const auto kernel = app::poisson_spmd(prob, np);
+    expect_same(legacy, kernel, what.c_str());
+    expect_same(reference, kernel, (what + " vs v1").c_str());
+  }
+  app::PoissonBlockConfig config;
+  config.nbx = 3;
+  config.nby = 4;
+  config.owner = {0, 1, 2, 0, 1, 2, 2, 1, 0, 0, 2, 1};
+  prob.sweep = mesh::SweepMode::kLegacy;
+  const auto legacy = app::poisson_blocks_spmd(prob, 3, config);
+  prob.sweep = mesh::SweepMode::kKernel;
+  const auto kernel = app::poisson_blocks_spmd(prob, 3, config);
+  expect_same(legacy, kernel, "blocks");
+  expect_same(reference, kernel, "blocks vs v1");
 }
 
 // ------------------------------------- app batteries: kernel == legacy --
