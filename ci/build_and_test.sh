@@ -154,18 +154,20 @@ awk '
 # part of the codebase; vet them under TSan when the toolchain supports it
 # (probe first — some images ship g++ without libtsan). The sequential-kernel
 # suites ride along: fft's thread_local twiddle tables and Poisson's grid
-# swap run on rank and pool threads. Bench and examples are skipped
+# swap run on rank and pool threads; the cfd, airshed and block-set suites
+# exercise the stencil apps' one block-set driver and its batched exchange
+# plan. Bench and examples are skipped
 # (timing-sensitive), and the fault soak runs reduced.
 if echo 'int main(){}' | g++ -xc++ -fsanitize=thread -o /tmp/tsan_probe - 2>/dev/null; then
   echo "==> TSan build"
   cmake -B "$BUILD_DIR-tsan" -S . -DPPA_SANITIZE=thread \
     -DPPA_BUILD_BENCH=OFF -DPPA_BUILD_EXAMPLES=OFF
   cmake --build "$BUILD_DIR-tsan" -j "$JOBS"
-  echo "==> TSan test (engine + scheduler + pipeline + faults + compose + kernels)"
+  echo "==> TSan test (engine + scheduler + pipeline + faults + compose + kernels + stencil apps)"
   PPA_FAULT_SOAK_JOBS=40 PPA_SCHED_SOAK_JOBS=40 PPA_COMPOSE_SMOKE=1 \
     ctest --test-dir "$BUILD_DIR-tsan" \
     --output-on-failure -j "$JOBS" \
-    -R 'test_engine|test_scheduler|test_pipeline|test_faults|test_compose|test_algorithms|test_app_fft2d|test_kernels|test_app_poisson'
+    -R 'test_engine|test_scheduler|test_pipeline|test_faults|test_compose|test_algorithms|test_app_fft2d|test_kernels|test_app_poisson|test_app_cfd|test_app_airshed|test_blockset'
 else
   echo "==> TSan leg skipped (no usable -fsanitize=thread toolchain)"
 fi

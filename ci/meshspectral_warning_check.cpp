@@ -104,7 +104,19 @@ namespace {
   (void)bplan.off_rank_message_count();
   (void)bplan.local_copy_count();
   (void)gather_blocks(p, bs);
+  (void)gather_blocks_mapped(p, bs, [](double v) { return v > 0.0 ? 1 : 0; });
   scatter_blocks(p, Array2D<double>(8, 8), bs);
+  (void)local_reduce(bs, 0.0, [](double a, double b) { return a + b; });
+  // The stencil apps' decomposition: a config or a process grid to a
+  // layout and a block→rank map.
+  BlockConfig bcfg;
+  bcfg.nbx = 3;
+  bcfg.nby = 2;
+  const BlockLayout2D cfg_layout = make_block_layout(9, 7, 2, bcfg);
+  const BlockLayout2D grid_layout =
+      make_block_layout(9, 7, mpl::CartGrid2D(2, 1), Periodicity{false, true});
+  (void)block_owner(cfg_layout, 2, bcfg);
+  (void)block_owner(grid_layout, 2, BlockConfig{});
 
   // Kernel layer: field views, sweep drivers, row kernels, SoA field.
   static_assert(ppa::padded_stride<double>(10) % 8 == 0);

@@ -64,126 +64,9 @@ PoissonResult poisson_v1(const PoissonProblem& prob) {
   return result;
 }
 
-PoissonResult poisson_process(mpl::Process& p, const mpl::CartGrid2D& pgrid,
+PoissonResult poisson_process(mpl::Process& p, const mesh::BlockLayout2D& layout,
+                              const std::vector<int>& owner,
                               const PoissonProblem& prob) {
-  const std::size_t nx = prob.nx;
-  const std::size_t ny = prob.ny;
-  const double h = spacing(prob);
-
-  mesh::Grid2D<double> uk(nx, ny, pgrid, p.rank(), 1);
-  mesh::Grid2D<double> ukp(nx, ny, pgrid, p.rank(), 1);
-  mesh::Grid2D<double> fv(nx, ny, pgrid, p.rank(), 1);
-
-  // initialize_section: boundary to g, interior to the initial guess.
-  fv.init_from_global([&](std::size_t gi, std::size_t gj) {
-    return prob.f(static_cast<double>(gi) * h, static_cast<double>(gj) * h);
-  });
-  uk.init_from_global([&](std::size_t gi, std::size_t gj) {
-    const bool boundary = (gi == 0 || gi == nx - 1 || gj == 0 || gj == ny - 1);
-    return boundary
-               ? prob.g(static_cast<double>(gi) * h, static_cast<double>(gj) * h)
-               : 0.0;
-  });
-  ukp.copy_interior_from(uk);
-
-  // Intersection of the whole grid's interior with the local section
-  // (xintersect/yintersect in Fig 14): local index bounds of points this
-  // process actually updates.
-  const auto ilo = static_cast<std::ptrdiff_t>(uk.x_range().lo == 0 ? 1 : 0);
-  const auto jlo = static_cast<std::ptrdiff_t>(uk.y_range().lo == 0 ? 1 : 0);
-  const auto ihi = static_cast<std::ptrdiff_t>(uk.nx()) -
-                   (uk.x_range().hi == nx ? 1 : 0);
-  const auto jhi = static_cast<std::ptrdiff_t>(uk.ny()) -
-                   (uk.y_range().hi == ny ? 1 : 0);
-
-  // The replicated global variable controlling the loop (Fig 14's diffmax):
-  // copy consistency holds because it is only assigned values that are
-  // identical on every process (the initializer and the allreduce result).
-  mesh::Global<double> diffmax(prob.tolerance + 1.0);
-
-  // Halo-exchange plan, compiled once and re-entered every iteration; the
-  // 5-point stencil update region splits into the ghost-independent core
-  // (swept while the halos are in flight) and the rim (swept after). The
-  // stencil reads no corner ghosts, so the diagonal messages are disabled.
-  mesh::ExchangePlan2D plan(pgrid, p.rank(), uk,
-                            mesh::ExchangePlan2D::Options{{}, false, 0});
-  const mesh::Region2 update{ilo, ihi, jlo, jhi};
-  const mesh::Region2 core = mesh::core_region(uk, 1, update);
-
-  const auto jacobi_point = [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-    ukp(i, j) = (uk(i - 1, j) + uk(i + 1, j) + uk(i, j - 1) + uk(i, j + 1) -
-                 h * h * fv(i, j)) *
-                0.25;
-  };
-
-  const double h2 = h * h;
-
-  PoissonResult result;
-  while (diffmax.get() > prob.tolerance && result.iterations < prob.max_iters) {
-    // Precondition of the stencil grid operation: fresh shadow copies —
-    // begun here, completed only once the core sweep no longer hides them.
-    plan.begin_exchange(p, uk);
-
-    // Grid operation over the local section of the interior: core while the
-    // exchange is in flight, rim after it completes. Per-point arithmetic
-    // is identical to the blocking schedule (bitwise-equal iterates).
-    double local_diffmax = 0.0;
-    if (prob.sweep == mesh::SweepMode::kKernel) {
-      // One fused pass writes ukp and folds the reduction's local max. The
-      // views are taken per iteration because uk and ukp swap storage.
-      const auto ukpv = mesh::field_view(ukp);
-      const auto ukv = mesh::field_view(std::as_const(uk));
-      const auto fvv = mesh::field_view(std::as_const(fv));
-      const auto jacobi_rows = [&](std::ptrdiff_t i, std::ptrdiff_t j0,
-                                   std::ptrdiff_t j1) {
-        local_diffmax = mesh::kern::jacobi_row_maxdiff(
-            ukpv.row(i), ukv.row(i - 1), ukv.row(i), ukv.row(i + 1),
-            fvv.row(i), h2, j0, j1, local_diffmax);
-      };
-      mesh::kern::sweep_rows_tiled(
-          core, mesh::kern::auto_tile_j(5 * sizeof(double), core.j1 - core.j0),
-          jacobi_rows);
-      plan.end_exchange(p, uk);
-      mesh::kern::sweep_rim_rows(update, core, jacobi_rows);
-    } else {
-      mesh::for_region(core, jacobi_point);
-      plan.end_exchange(p, uk);
-      mesh::for_rim(update, core, jacobi_point);
-      for (std::ptrdiff_t i = ilo; i < ihi; ++i) {
-        for (std::ptrdiff_t j = jlo; j < jhi; ++j) {
-          local_diffmax = std::max(local_diffmax, std::abs(ukp(i, j) - uk(i, j)));
-        }
-      }
-    }
-
-    // Reduction: local max then allreduce; postcondition re-establishes the
-    // copy consistency of diffmax on every process.
-    diffmax.store_replicated(p, p.allreduce(local_diffmax, mpl::MaxOp{}));
-
-    // New values become old values. The kernel path swaps storage instead
-    // of copying: only the update region is ever written, the boundary
-    // cells are equal in both grids from initialization, and the ghosts of
-    // the new iterate are refreshed by the next exchange before any read.
-    if (prob.sweep == mesh::SweepMode::kKernel) {
-      std::swap(uk, ukp);
-    } else {
-      for (std::ptrdiff_t i = ilo; i < ihi; ++i) {
-        for (std::ptrdiff_t j = jlo; j < jhi; ++j) uk(i, j) = ukp(i, j);
-      }
-    }
-    ++result.iterations;
-  }
-
-  // print_section: gather-to-root file-output pattern.
-  result.u = mesh::gather_grid(p, pgrid, uk, 0);
-  result.final_diffmax = diffmax.get();
-  return result;
-}
-
-PoissonResult poisson_blocks_process(mpl::Process& p,
-                                     const mesh::BlockLayout2D& layout,
-                                     const std::vector<int>& owner,
-                                     const PoissonProblem& prob, bool batched) {
   const std::size_t nx = prob.nx;
   const std::size_t ny = prob.ny;
   const double h = spacing(prob);
@@ -192,6 +75,7 @@ PoissonResult poisson_blocks_process(mpl::Process& p,
   mesh::BlockSet<double> ukp(layout, owner, p.rank());
   mesh::BlockSet<double> fv(layout, owner, p.rank());
 
+  // initialize_section: boundary to g, interior to the initial guess.
   fv.init_from_global([&](std::size_t gi, std::size_t gj) {
     return prob.f(static_cast<double>(gi) * h, static_cast<double>(gj) * h);
   });
@@ -205,8 +89,10 @@ PoissonResult poisson_blocks_process(mpl::Process& p,
     ukp.block(b).grid().copy_interior_from(uk.block(b).grid());
   }
 
-  // Per-block update/core regions: each block clips the global interior to
-  // its own window exactly as poisson_process does for its rank section.
+  // Intersection of the whole grid's interior with each block
+  // (xintersect/yintersect in Fig 14): the local index bounds of the points
+  // a block updates. That update region splits into the ghost-independent
+  // core (swept while the halos are in flight) and the rim (swept after).
   std::vector<mesh::Region2> update(uk.size()), core(uk.size());
   for (std::size_t b = 0; b < uk.size(); ++b) {
     const auto& blk = uk.block(b);
@@ -220,149 +106,117 @@ PoissonResult poisson_blocks_process(mpl::Process& p,
     core[b] = mesh::core_region(blk.grid(), 1, update[b]);
   }
 
+  // The replicated global variable controlling the loop (Fig 14's diffmax):
+  // copy consistency holds because it is only assigned values that are
+  // identical on every process (the initializer and the allreduce result).
   mesh::Global<double> diffmax(prob.tolerance + 1.0);
 
-  // One plan for the whole block set: all off-rank halos travel in one
-  // batched message per peer rank per iteration; on-rank block pairs are
-  // local copies. The 5-point stencil reads no corner ghosts.
-  mesh::BlockExchangePlan2D plan(
-      uk, mesh::BlockExchangeOptions{false, 0, batched, false, 0.0});
+  // Halo-exchange plan, compiled once and re-entered every iteration: one
+  // batched message per peer rank, on-rank block pairs as local copies. The
+  // 5-point stencil reads no corner ghosts (the default options skip them).
+  mesh::BlockExchangePlan2D plan(uk);
 
   const double h2 = h * h;
-  // Per-block fused Jacobi row + residual sweep over a region (the same
-  // kernel as the single-grid path), folding into this iteration's local
-  // max. Views are taken per call because uk and ukp swap storage.
-  double local_diffmax = 0.0;
-  const auto jacobi_block_rows = [&](std::size_t b, mesh::Region2 r,
-                                     bool tiled) {
-    const auto ukpv = mesh::field_view(ukp.block(b).grid());
-    const auto ukv = mesh::field_view(std::as_const(uk.block(b).grid()));
-    const auto fvv = mesh::field_view(std::as_const(fv.block(b).grid()));
-    const auto rows = [&](std::ptrdiff_t i, std::ptrdiff_t j0,
-                          std::ptrdiff_t j1) {
-      local_diffmax = mesh::kern::jacobi_row_maxdiff(
-          ukpv.row(i), ukv.row(i - 1), ukv.row(i), ukv.row(i + 1), fvv.row(i),
-          h2, j0, j1, local_diffmax);
-    };
-    if (tiled) {
-      mesh::kern::sweep_rows_tiled(
-          r, mesh::kern::auto_tile_j(5 * sizeof(double), r.j1 - r.j0), rows);
-    } else {
-      mesh::kern::sweep_rim_rows(update[b], core[b], rows);
-    }
-  };
-
+  const bool kernel = prob.sweep == mesh::SweepMode::kKernel;
   PoissonResult result;
   while (diffmax.get() > prob.tolerance && result.iterations < prob.max_iters) {
-    local_diffmax = 0.0;
+    double local_diffmax = 0.0;
+    // Grid operation on block b: its core while the exchange is in flight,
+    // or its rim after it completes. The kernel path is one fused pass that
+    // writes ukp and folds the reduction's local max; the legacy path is
+    // the per-point form, with the max taken after the sweep.
+    const auto relax = [&](std::size_t b, bool rim) {
+      auto& out = ukp.block(b).grid();
+      const auto& in = uk.block(b).grid();
+      const auto& f = fv.block(b).grid();
+      if (kernel) {
+        const auto rows = [&](std::ptrdiff_t i, std::ptrdiff_t j0,
+                              std::ptrdiff_t j1) {
+          local_diffmax = mesh::kern::jacobi_row_maxdiff(
+              out.row(i), in.row(i - 1), in.row(i), in.row(i + 1), f.row(i),
+              h2, j0, j1, local_diffmax);
+        };
+        if (rim) {
+          mesh::kern::sweep_rim_rows(update[b], core[b], rows);
+        } else {
+          mesh::kern::sweep_rows_tiled(
+              core[b],
+              mesh::kern::auto_tile_j(5 * sizeof(double), core[b].j1 - core[b].j0),
+              rows);
+        }
+        return;
+      }
+      const auto point = [&](std::ptrdiff_t i, std::ptrdiff_t j) {
+        out(i, j) = (in(i - 1, j) + in(i + 1, j) + in(i, j - 1) + in(i, j + 1) -
+                     h * h * f(i, j)) *
+                    0.25;
+      };
+      if (rim) {
+        mesh::for_rim(update[b], core[b], point);
+      } else {
+        mesh::for_region(core[b], point);
+      }
+    };
+
+    // Precondition of the stencil grid operation: fresh shadow copies —
+    // begun here, completed only once the core sweeps no longer hide them.
     plan.begin_exchange_all(p, uk);
-    for (std::size_t b = 0; b < uk.size(); ++b) {
-      if (prob.sweep == mesh::SweepMode::kKernel) {
-        jacobi_block_rows(b, core[b], /*tiled=*/true);
-        continue;
-      }
-      auto& ukg = uk.block(b).grid();
-      auto& ukpg = ukp.block(b).grid();
-      auto& fvg = fv.block(b).grid();
-      mesh::for_region(core[b], [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-        ukpg(i, j) = (ukg(i - 1, j) + ukg(i + 1, j) + ukg(i, j - 1) +
-                      ukg(i, j + 1) - h * h * fvg(i, j)) *
-                     0.25;
-      });
-    }
+    for (std::size_t b = 0; b < uk.size(); ++b) relax(b, false);
     plan.end_exchange_all(p, uk);
-    for (std::size_t b = 0; b < uk.size(); ++b) {
-      if (prob.sweep == mesh::SweepMode::kKernel) {
-        jacobi_block_rows(b, update[b], /*tiled=*/false);
-        continue;
+    for (std::size_t b = 0; b < uk.size(); ++b) relax(b, true);
+    if (!kernel) {
+      for (std::size_t b = 0; b < uk.size(); ++b) {
+        const auto& out = ukp.block(b).grid();
+        const auto& in = uk.block(b).grid();
+        mesh::for_region(update[b], [&](std::ptrdiff_t i, std::ptrdiff_t j) {
+          local_diffmax = std::max(local_diffmax, std::abs(out(i, j) - in(i, j)));
+        });
       }
-      auto& ukg = uk.block(b).grid();
-      auto& ukpg = ukp.block(b).grid();
-      auto& fvg = fv.block(b).grid();
-      mesh::for_rim(update[b], core[b], [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-        ukpg(i, j) = (ukg(i - 1, j) + ukg(i + 1, j) + ukg(i, j - 1) +
-                      ukg(i, j + 1) - h * h * fvg(i, j)) *
-                     0.25;
-      });
     }
 
-    // The kernel path folded its local max into the sweep above.
-    if (prob.sweep == mesh::SweepMode::kLegacy) {
-      for (std::size_t b = 0; b < uk.size(); ++b) {
-        auto& ukg = uk.block(b).grid();
-        auto& ukpg = ukp.block(b).grid();
-        const auto& u = update[b];
-        for (std::ptrdiff_t i = u.i0; i < u.i1; ++i) {
-          for (std::ptrdiff_t j = u.j0; j < u.j1; ++j) {
-            local_diffmax =
-                std::max(local_diffmax, std::abs(ukpg(i, j) - ukg(i, j)));
-          }
-        }
-      }
-    }
+    // Reduction: local max then allreduce; postcondition re-establishes the
+    // copy consistency of diffmax on every process.
     diffmax.store_replicated(p, p.allreduce(local_diffmax, mpl::MaxOp{}));
 
-    // Swap, not copy, on the kernel path (same contract as poisson_process:
-    // every block shares the layout, owner map, and rank the plan checks).
-    if (prob.sweep == mesh::SweepMode::kKernel) {
+    // New values become old values. The kernel path swaps storage instead
+    // of copying: only the update regions are ever written, the boundary
+    // cells are equal in both sets from initialization, and the ghosts of
+    // the new iterate are refreshed by the next exchange before any read
+    // (both sets share the layout, map and rank the plan checks).
+    if (kernel) {
       std::swap(uk, ukp);
     } else {
       for (std::size_t b = 0; b < uk.size(); ++b) {
-        auto& ukg = uk.block(b).grid();
-        auto& ukpg = ukp.block(b).grid();
-        const auto& u = update[b];
-        for (std::ptrdiff_t i = u.i0; i < u.i1; ++i) {
-          for (std::ptrdiff_t j = u.j0; j < u.j1; ++j) ukg(i, j) = ukpg(i, j);
-        }
+        auto& in = uk.block(b).grid();
+        const auto& out = ukp.block(b).grid();
+        mesh::for_region(update[b], [&](std::ptrdiff_t i, std::ptrdiff_t j) {
+          in(i, j) = out(i, j);
+        });
       }
     }
     ++result.iterations;
   }
 
+  // print_section: gather-to-root file-output pattern.
   result.u = mesh::gather_blocks(p, uk, 0);
   result.final_diffmax = diffmax.get();
   return result;
 }
 
-mesh::BlockLayout2D make_poisson_block_layout(const PoissonProblem& prob,
-                                              int nprocs,
-                                              const PoissonBlockConfig& config) {
-  mesh::BlockLayout2D layout;
-  layout.global_nx = prob.nx;
-  layout.global_ny = prob.ny;
-  if (config.nbx > 0 && config.nby > 0) {
-    layout.nbx = config.nbx;
-    layout.nby = config.nby;
-  } else {
-    const auto pgrid = mpl::CartGrid2D::near_square(nprocs);
-    layout.nbx = pgrid.npx();
-    layout.nby = pgrid.npy();
-  }
-  layout.ghost = 1;
-  return layout;
+PoissonResult poisson_process(mpl::Process& p, const mpl::CartGrid2D& pgrid,
+                              const PoissonProblem& prob) {
+  return poisson_process(
+      p, mesh::make_block_layout(prob.nx, prob.ny, pgrid),
+      mesh::distribute_blocks_contiguous(pgrid.size(), pgrid.size()), prob);
 }
 
-PoissonResult poisson_blocks_spmd(const PoissonProblem& prob, int nprocs,
-                                  const PoissonBlockConfig& config) {
-  const auto layout = make_poisson_block_layout(prob, nprocs, config);
-  const auto owner =
-      config.owner.empty()
-          ? mesh::distribute_blocks_contiguous(layout.nblocks(), nprocs)
-          : config.owner;
+PoissonResult poisson_spmd(const PoissonProblem& prob, int nprocs,
+                           const mesh::BlockConfig& config) {
+  const auto layout = mesh::make_block_layout(prob.nx, prob.ny, nprocs, config);
+  const auto owner = mesh::block_owner(layout, nprocs, config);
   PoissonResult result;
   mpl::spmd_run(nprocs, [&](mpl::Process& p) {
-    auto local =
-        poisson_blocks_process(p, layout, owner, prob, config.batched);
-    if (p.rank() == 0) result = std::move(local);
-  });
-  return result;
-}
-
-PoissonResult poisson_spmd(const PoissonProblem& prob, int nprocs) {
-  const auto pgrid = mpl::CartGrid2D::near_square(nprocs);
-  PoissonResult result;
-  mpl::spmd_run(nprocs, [&](mpl::Process& p) {
-    auto local = poisson_process(p, pgrid, prob);
+    auto local = poisson_process(p, layout, owner, prob);
     if (p.rank() == 0) result = std::move(local);
   });
   return result;

@@ -11,22 +11,25 @@
 // Version 1 (paper Fig 13): whole-grid forall + reduction-controlled while
 // loop, sequentially executable.
 //
-// Version 2 (paper Fig 14): SPMD with a generic block distribution over an
-// NPX x NPY process grid; every iteration is one boundary exchange, one
-// local grid operation, and one allreduce(max) that re-establishes copy
-// consistency of the replicated global `diffmax` before it controls the
-// loop. The exchange is split-phase (a persistent ExchangePlan2D): the
+// Version 2 (paper Fig 14): SPMD with a generic block distribution. The
+// grid is split into blocks (mesh::BlockSet) and every iteration is one
+// boundary exchange over all of a rank's blocks, one local grid operation
+// per block, and one allreduce(max) that re-establishes copy consistency
+// of the replicated global `diffmax` before it controls the loop. The
+// exchange is split-phase (a persistent BlockExchangePlan2D): each block's
 // ghost-independent core is relaxed while the halo messages are in flight,
-// the rim after end_exchange.
+// the rims after end_exchange_all. Fig 14's one section per process on an
+// NPX x NPY process grid is the one-block-per-rank case of this driver.
 //
 // Determinism note: each interior point's update uses identical arithmetic
 // in both versions and the convergence test combines with max (exact under
-// any association), so version 1 and version 2 agree bitwise and take the
-// same number of iterations.
+// any association), so version 1 and version 2 — under any block layout
+// and distribution — agree bitwise and take the same number of iterations.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <vector>
 
 #include "core/compose.hpp"
 #include "meshspectral/meshspectral.hpp"
@@ -59,15 +62,25 @@ struct PoissonResult {
 /// Version 1: sequential whole-grid Jacobi iteration (paper Fig 13).
 [[nodiscard]] PoissonResult poisson_v1(const PoissonProblem& prob);
 
-/// Version 2, per-process body (paper Fig 14). Returns this process's local
-/// section (interior) plus the shared iteration count. The result field on
-/// rank 0 is the gathered global grid; other ranks return an empty grid.
+/// Version 2, per-process body (paper Fig 14) on a block set: this rank
+/// relaxes the blocks `owner` assigns it (any number, any distribution; all
+/// ranks pass the same layout and map). The result field on rank 0 is the
+/// gathered global grid; other ranks return an empty grid.
+[[nodiscard]] PoissonResult poisson_process(mpl::Process& p,
+                                            const mesh::BlockLayout2D& layout,
+                                            const std::vector<int>& owner,
+                                            const PoissonProblem& prob);
+
+/// Version 2 with one section per process of `pgrid`: the block-set body on
+/// one block per rank (mesh::make_block_layout of the process grid).
 [[nodiscard]] PoissonResult poisson_process(mpl::Process& p,
                                             const mpl::CartGrid2D& pgrid,
                                             const PoissonProblem& prob);
 
-/// Version 2, whole-problem driver on `nprocs` SPMD processes.
-[[nodiscard]] PoissonResult poisson_spmd(const PoissonProblem& prob, int nprocs);
+/// Version 2, whole-problem driver on `nprocs` SPMD processes. The default
+/// config is one block per rank on the near_square process grid.
+[[nodiscard]] PoissonResult poisson_spmd(const PoissonProblem& prob, int nprocs,
+                                         const mesh::BlockConfig& config = {});
 
 /// Version 2 on a persistent engine: one warm SPMD job per call (`nprocs`
 /// defaults to the engine width). A stream of solves on one engine reuses
@@ -101,41 +114,5 @@ struct PoissonResult {
         return poisson_process(p, pgrid, prob);
       });
 }
-
-/// Block-set decomposition knobs for the multi-block driver. The default
-/// (nbx = nby = 0, empty owner map) reproduces the one-grid-per-rank
-/// layout: near_square process grid, one block per rank — the N = 1
-/// configuration that is bitwise-identical (fields *and* message counts)
-/// to poisson_process.
-struct PoissonBlockConfig {
-  int nbx = 0;  ///< blocks along x (0 = match the process grid)
-  int nby = 0;  ///< blocks along y (0 = match the process grid)
-  /// block→rank map (size nbx*nby); empty = contiguous distribution.
-  std::vector<int> owner;
-  /// One coalesced message per peer rank vs one per block pair (ablation).
-  bool batched = true;
-};
-
-/// Build the block layout for a problem: global extents from `prob`, ghost
-/// 1, non-periodic; block counts from `config` (0 = match the near_square
-/// grid of `nprocs`).
-[[nodiscard]] mesh::BlockLayout2D make_poisson_block_layout(
-    const PoissonProblem& prob, int nprocs,
-    const PoissonBlockConfig& config = {});
-
-/// Version 2 on a multi-block domain: each rank owns the blocks the map
-/// assigns it (N >= 1, oversubscription welcome) and every iteration runs
-/// ONE batched boundary round over the whole block set. Identical per-point
-/// arithmetic and a max-combined convergence test keep any decomposition
-/// bitwise-equal to poisson_process on the same global grid.
-[[nodiscard]] PoissonResult poisson_blocks_process(
-    mpl::Process& p, const mesh::BlockLayout2D& layout,
-    const std::vector<int>& owner, const PoissonProblem& prob,
-    bool batched = true);
-
-/// Whole-problem multi-block driver on `nprocs` SPMD processes.
-[[nodiscard]] PoissonResult poisson_blocks_spmd(const PoissonProblem& prob,
-                                                int nprocs,
-                                                const PoissonBlockConfig& config = {});
 
 }  // namespace ppa::app

@@ -44,6 +44,11 @@
 // at begin (snapshot semantics, like ExchangePlan2D) and applied in the
 // same two-pass order at end.
 //
+// Buffers: as in ExchangePlan2D, a strip is copied once out (block rows
+// straight into the outgoing message) and once in (borrowed payload
+// straight into the ghost rows). On-rank records stage in one buffer, and
+// the per-round record and payload lists keep their capacity across rounds.
+//
 // Modes: `batched = false` sends one message per entry (same records, same
 // canonical order, same single tag — correct because the mailbox is FIFO
 // per (source, tag)). That is the A/B baseline for bench/ablation_blocks
@@ -66,7 +71,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -121,50 +125,42 @@ class BlockExchangePlan2D {
 
   /// Pack every off-rank halo strip and send one batched message per peer
   /// rank (never blocks); stage the on-rank copies. Sent and staged data
-  /// are a snapshot — interior writes after begin do not alter them.
+  /// are a snapshot — interior writes after begin do not alter them. Strips
+  /// are packed straight from the block rows into the outgoing buffer.
   template <typename T>
   void begin_exchange_all(mpl::Process& p, BlockSet<T>& blocks) {
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "BlockExchangePlan2D: strips travel as raw bytes");
     check_blockset(blocks);
     assert(!in_flight_ && "BlockExchangePlan2D: begin without matching end");
     in_flight_ = true;
     for (const auto& pl : send_peers_) {
       if (options_.batched) {
         std::vector<std::byte> buf;
-        buf.reserve(pl.entries.size() * sizeof(std::uint64_t) +
+        buf.reserve(pl.entries.size() * kStatusBytes +
                     pl.total_count * sizeof(T));
         for (const auto& e : pl.entries) append_record(buf, blocks, e);
         p.send(pl.peer, tag_, std::move(buf));
       } else {
         for (const auto& e : pl.entries) {
           std::vector<std::byte> buf;
-          buf.reserve(sizeof(std::uint64_t) + e.count * sizeof(T));
+          buf.reserve(kStatusBytes + e.count * sizeof(T));
           append_record(buf, blocks, e);
           p.send(pl.peer, tag_, std::move(buf));
         }
       }
     }
-    staged_local_.clear();
-    staged_local_.reserve(local_edges_.size());
-    for (const auto& e : local_edges_) {
-      Staged s;
-      const auto& src = blocks.block(
-          static_cast<std::size_t>(blocks.local_index(e.src_id)));
-      if (src.allocated()) {
-        const auto data =
-            src.grid().pack_region(e.send.i0, e.send.i1, e.send.j0, e.send.j1);
-        assert(data.size() == e.count);
-        s.has_data = true;
-        s.bytes.resize(e.count * sizeof(T));
-        std::memcpy(s.bytes.data(), data.data(), s.bytes.size());
-      }
-      staged_local_.push_back(std::move(s));
-    }
+    // On-rank copies are staged as records too, back to back in one buffer
+    // whose capacity survives from round to round.
+    staged_.clear();
+    for (const auto& e : local_edges_) append_record(staged_, blocks, e);
   }
 
   /// Block until every peer's batched message has arrived, then apply the
   /// round: allocation pass first (sparse mode), then unpack — incoming
   /// strips into ghost cells, zero-fill for strips from deallocated
-  /// sources, on-rank staged copies alongside.
+  /// sources, on-rank staged copies alongside. Strips are unpacked straight
+  /// from the borrowed payloads.
   template <typename T>
   void end_exchange_all(mpl::Process& p, BlockSet<T>& blocks) {
     check_blockset(blocks);
@@ -172,100 +168,60 @@ class BlockExchangePlan2D {
     in_flight_ = false;
 
     // Receive everything up front (safe: all sends happened at begin and
-    // never block), recording where each entry's record starts.
-    struct Incoming {
-      const BlockEdge* edge;
-      std::uint64_t status;
-      std::size_t payload;   // index into payloads
-      std::size_t data_off;  // byte offset of the T data within the payload
-    };
-    std::vector<mpl::Received<std::byte>> payloads;
-    std::vector<Incoming> records;
-    records.reserve(recv_entry_total_);
+    // never block), recording where each entry's record starts. The
+    // on-rank records follow the received ones, pointing into staged_. A
+    // small payload lives inside its Received, so payloads_ is reserved up
+    // front: it must not reallocate while records_ points into it.
+    payloads_.clear();
+    records_.clear();
+    payloads_.reserve(options_.batched ? recv_peers_.size()
+                                       : recv_entry_total_);
     for (const auto& pl : recv_peers_) {
       if (options_.batched) {
-        payloads.push_back(p.recv_borrow<std::byte>(pl.peer, tag_));
-        const auto view = payloads.back().view();
+        payloads_.push_back(p.recv_borrow<std::byte>(pl.peer, tag_));
+        const auto view = payloads_.back().view();
         std::size_t off = 0;
         for (const auto& e : pl.entries) {
-          std::uint64_t status = 0;
-          assert(off + sizeof status <= view.size());
-          std::memcpy(&status, view.data() + off, sizeof status);
-          off += sizeof status;
-          records.push_back({&e, status, payloads.size() - 1, off});
-          if (status != 0) off += e.count * sizeof(T);
+          assert(off + kStatusBytes <= view.size());
+          off += read_record<T>(view.data() + off, e);
         }
         assert(off == view.size() &&
                "BlockExchangePlan2D: batched message size mismatch");
       } else {
         for (const auto& e : pl.entries) {
-          payloads.push_back(p.recv_borrow<std::byte>(pl.peer, tag_));
-          const auto view = payloads.back().view();
-          std::uint64_t status = 0;
-          assert(view.size() >= sizeof status);
-          std::memcpy(&status, view.data(), sizeof status);
-          records.push_back(
-              {&e, status, payloads.size() - 1, sizeof(std::uint64_t)});
+          payloads_.push_back(p.recv_borrow<std::byte>(pl.peer, tag_));
+          const auto view = payloads_.back().view();
+          assert(view.size() >= kStatusBytes);
+          read_record<T>(view.data(), e);
         }
       }
     }
-
-    std::vector<T> scratch;
-    const auto load_bytes = [&scratch](const std::byte* src,
-                                       std::size_t count) -> std::span<const T> {
-      scratch.resize(count);
-      std::memcpy(scratch.data(), src, count * sizeof(T));
-      return {scratch.data(), scratch.size()};
-    };
-    const auto load = [&](const Incoming& r) {
-      return load_bytes(payloads[r.payload].view().data() + r.data_off,
-                        r.edge->count);
-    };
+    std::size_t off = 0;
+    for (const auto& e : local_edges_) {
+      off += read_record<T>(staged_.data() + off, e);
+    }
 
     // Allocation pass: a deallocated destination materializes iff some
     // incoming strip from this round is non-trivial — *before* any strip
     // is unpacked, so the new block receives all of this round's halos.
     if (options_.sparse) {
-      for (const auto& r : records) {
-        if (r.status == 0) continue;
-        auto& dst = blocks.block(
-            static_cast<std::size_t>(blocks.local_index(r.edge->dst_id)));
+      for (const auto& r : records_) {
+        if (r.data == nullptr) continue;
+        auto& dst = destination(blocks, *r.edge);
         if (dst.allocated()) continue;
-        if (nontrivial_any<T>(load(r))) dst.allocate();
-      }
-      for (std::size_t k = 0; k < local_edges_.size(); ++k) {
-        if (!staged_local_[k].has_data) continue;
-        auto& dst = blocks.block(static_cast<std::size_t>(
-            blocks.local_index(local_edges_[k].dst_id)));
-        if (dst.allocated()) continue;
-        if (nontrivial_any<T>(load_bytes(staged_local_[k].bytes.data(),
-                                         local_edges_[k].count))) {
-          dst.allocate();
-        }
+        if (nontrivial_any<T>(r.data, r.edge->count)) dst.allocate();
       }
     }
 
     // Unpack pass. Destinations still deallocated just drop their strips
     // (their value is zero by definition); allocated destinations take the
     // strip, or a zero fill when the source was deallocated.
-    for (const auto& r : records) {
-      auto& dst = blocks.block(
-          static_cast<std::size_t>(blocks.local_index(r.edge->dst_id)));
+    for (const auto& r : records_) {
+      auto& dst = destination(blocks, *r.edge);
       if (!dst.allocated()) continue;
-      apply_strip(dst, r.edge->recv, r.status != 0 ? load(r)
-                                                   : std::span<const T>{});
+      apply_strip(dst, r.edge->recv, r.data);
     }
-    for (std::size_t k = 0; k < local_edges_.size(); ++k) {
-      const auto& e = local_edges_[k];
-      auto& dst = blocks.block(
-          static_cast<std::size_t>(blocks.local_index(e.dst_id)));
-      if (!dst.allocated()) continue;
-      apply_strip(dst, e.recv,
-                  staged_local_[k].has_data
-                      ? load_bytes(staged_local_[k].bytes.data(), e.count)
-                      : std::span<const T>{});
-    }
-    staged_local_.clear();
+    payloads_.clear();  // release the borrowed messages
   }
 
   /// Blocking convenience: begin immediately followed by end (no overlap).
@@ -311,10 +267,15 @@ class BlockExchangePlan2D {
     std::vector<BlockEdge> entries;  ///< canonical (src, dst, dir) order
     std::size_t total_count = 0;     ///< sum of entry counts
   };
-  struct Staged {
-    bool has_data = false;
-    std::vector<std::byte> bytes;
+  /// One parsed record of the current round: its edge, and its strip data
+  /// (nullptr when the source block was deallocated).
+  struct Incoming {
+    const BlockEdge* edge;
+    const std::byte* data;
   };
+
+  /// Bytes of a record's status word.
+  static constexpr std::size_t kStatusBytes = sizeof(std::uint64_t);
 
   void compile(const BlockLayout2D& layout, std::vector<int> owner, int rank,
                const Options& options) {
@@ -424,44 +385,65 @@ class BlockExchangePlan2D {
     group(recvs, recv_peers_, recv_entry_total_);
   }
 
-  /// Append one wire record for edge `e` (owned source block) to `buf`.
   template <typename T>
-  void append_record(std::vector<std::byte>& buf, const BlockSet<T>& blocks,
-                     const BlockEdge& e) const {
+  static MeshBlock<T>& destination(BlockSet<T>& blocks, const BlockEdge& e) {
+    return blocks.block(static_cast<std::size_t>(blocks.local_index(e.dst_id)));
+  }
+
+  /// Append the wire record for edge `e` (owned source block) to `buf`,
+  /// copying the strip straight from the block's rows.
+  template <typename T>
+  static void append_record(std::vector<std::byte>& buf,
+                            const BlockSet<T>& blocks, const BlockEdge& e) {
     const auto& src =
         blocks.block(static_cast<std::size_t>(blocks.local_index(e.src_id)));
     const std::uint64_t status = src.allocated() ? 1 : 0;
-    const std::size_t off = buf.size();
-    buf.resize(off + sizeof status + (status != 0 ? e.count * sizeof(T) : 0));
-    std::memcpy(buf.data() + off, &status, sizeof status);
-    if (status != 0) {
-      const auto data =
-          src.grid().pack_region(e.send.i0, e.send.i1, e.send.j0, e.send.j1);
-      assert(data.size() == e.count);
-      std::memcpy(buf.data() + off + sizeof status, data.data(),
-                  e.count * sizeof(T));
+    const auto* s = reinterpret_cast<const std::byte*>(&status);
+    buf.insert(buf.end(), s, s + sizeof status);
+    if (status == 0) return;
+    const auto w = static_cast<std::size_t>(e.send.j1 - e.send.j0) * sizeof(T);
+    for (std::ptrdiff_t i = e.send.i0; i < e.send.i1; ++i) {
+      const auto* row =
+          reinterpret_cast<const std::byte*>(src.grid().row(i) + e.send.j0);
+      buf.insert(buf.end(), row, row + w);
     }
   }
 
-  /// Scatter a strip into dst's ghost region; an empty span means the
+  /// Parse the record for edge `e` at `in` into records_; returns its size.
+  template <typename T>
+  std::size_t read_record(const std::byte* in, const BlockEdge& e) {
+    std::uint64_t status = 0;
+    std::memcpy(&status, in, sizeof status);
+    records_.push_back({&e, status != 0 ? in + kStatusBytes : nullptr});
+    return kStatusBytes + (status != 0 ? e.count * sizeof(T) : 0);
+  }
+
+  /// Scatter a strip into dst's ghost region; a null strip means the
   /// source was deallocated — the ghost strip becomes exact zero.
   template <typename T>
   static void apply_strip(MeshBlock<T>& dst, const Region2& r,
-                          std::span<const T> data) {
-    if (data.empty()) {
-      for (std::ptrdiff_t i = r.i0; i < r.i1; ++i) {
-        for (std::ptrdiff_t j = r.j0; j < r.j1; ++j) dst.grid()(i, j) = T{};
+                          const std::byte* data) {
+    const auto w = static_cast<std::size_t>(r.j1 - r.j0);
+    for (std::ptrdiff_t i = r.i0; i < r.i1; ++i) {
+      T* row = dst.grid().row(i) + r.j0;
+      if (data == nullptr) {
+        std::fill_n(row, w, T{});
+      } else {
+        std::memcpy(row, data, w * sizeof(T));
+        data += w * sizeof(T);
       }
-    } else {
-      dst.grid().unpack_region(r.i0, r.i1, r.j0, r.j1, data);
     }
   }
 
-  /// Does any strip value exceed the allocation threshold?
+  /// Does any of the `count` strip values at `data` exceed the allocation
+  /// threshold?
   template <typename T>
-  [[nodiscard]] bool nontrivial_any(std::span<const T> v) const {
+  [[nodiscard]] bool nontrivial_any(const std::byte* data,
+                                    std::size_t count) const {
     if constexpr (std::is_arithmetic_v<T>) {
-      for (const T& x : v) {
+      for (std::size_t k = 0; k < count; ++k) {
+        T x;
+        std::memcpy(&x, data + k * sizeof(T), sizeof(T));
         if (std::abs(static_cast<double>(x)) > options_.alloc_threshold) {
           return true;
         }
@@ -469,7 +451,7 @@ class BlockExchangePlan2D {
       return false;
     } else {
       // Non-arithmetic payloads have no magnitude: any data is non-trivial.
-      return !v.empty();
+      return count != 0;
     }
   }
 
@@ -493,7 +475,10 @@ class BlockExchangePlan2D {
   std::vector<PeerList> recv_peers_;    ///< ascending peer rank
   std::size_t send_entry_total_ = 0;
   std::size_t recv_entry_total_ = 0;
-  std::vector<Staged> staged_local_;    ///< begin→end staging, local edges
+  // Per-round working storage, kept so its capacity is reused.
+  std::vector<std::byte> staged_;       ///< begin→end records, local edges
+  std::vector<mpl::Received<std::byte>> payloads_;  ///< borrowed until end
+  std::vector<Incoming> records_;       ///< received, then local, in order
   bool in_flight_ = false;
 };
 

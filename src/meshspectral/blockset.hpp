@@ -15,6 +15,10 @@
 //                     rank holds an identical copy.
 //   distribute_*    — block→rank maps (contiguous, round-robin, arbitrary).
 //                     All ranks must agree on the map (SPMD discipline).
+//   BlockConfig     — a stencil app's decomposition choice (block counts and
+//                     map); make_block_layout / block_owner turn it, or a
+//                     process grid, into a layout and a map. One block per
+//                     rank on a CartGrid2D is the one-grid-per-rank layout.
 //   MeshBlock<T>    — one block: its global window plus an optional field
 //                     (a Grid2D<T> with explicit ranges). An *unallocated*
 //                     block stores no field data; it reads as identically
@@ -40,7 +44,9 @@
 #include <vector>
 
 #include "meshspectral/grid2d.hpp"
+#include "meshspectral/ops.hpp"
 #include "meshspectral/plan.hpp"
+#include "mpl/topology.hpp"
 #include "support/partition.hpp"
 
 namespace ppa::mesh {
@@ -106,6 +112,46 @@ inline std::vector<int> distribute_blocks_round_robin(int nblocks, int nranks) {
   std::vector<int> owner(static_cast<std::size_t>(nblocks));
   for (int id = 0; id < nblocks; ++id) owner[static_cast<std::size_t>(id)] = id % nranks;
   return owner;
+}
+
+/// A stencil app's block decomposition. The default (0 x 0 blocks, empty
+/// map) is one block per rank on the near_square process grid.
+struct BlockConfig {
+  int nbx = 0;  ///< blocks along x (0 = match the process grid)
+  int nby = 0;  ///< blocks along y (0 = match the process grid)
+  /// block→rank map (size nbx*nby); empty = contiguous distribution.
+  std::vector<int> owner;
+};
+
+/// Layout of an nx x ny domain, ghost width 1, whose blocks are the
+/// sections of process grid `pgrid`: block (bx, by) is rank
+/// pgrid.rank_of(bx, by)'s section, so the map is the identity
+/// (distribute_blocks_contiguous(n, n)).
+inline BlockLayout2D make_block_layout(std::size_t nx, std::size_t ny,
+                                       const mpl::CartGrid2D& pgrid,
+                                       Periodicity periodic = {}) {
+  return BlockLayout2D{nx, ny, pgrid.npx(), pgrid.npy(), 1, periodic};
+}
+
+/// Layout of an nx x ny domain, ghost width 1, with `config`'s block counts
+/// (the near_square grid of `nprocs` when either is 0).
+inline BlockLayout2D make_block_layout(std::size_t nx, std::size_t ny,
+                                       int nprocs, const BlockConfig& config,
+                                       Periodicity periodic = {}) {
+  if (config.nbx > 0 && config.nby > 0) {
+    return BlockLayout2D{nx, ny, config.nbx, config.nby, 1, periodic};
+  }
+  return make_block_layout(nx, ny, mpl::CartGrid2D::near_square(nprocs),
+                           periodic);
+}
+
+/// `config`'s block→rank map, or the contiguous distribution of the
+/// layout's blocks over `nprocs` ranks when it has none.
+inline std::vector<int> block_owner(const BlockLayout2D& layout, int nprocs,
+                                    const BlockConfig& config) {
+  return config.owner.empty()
+             ? distribute_blocks_contiguous(layout.nblocks(), nprocs)
+             : config.owner;
 }
 
 /// One meshblock: a global window plus an optional (sparse) field. The
@@ -307,5 +353,15 @@ class BlockSet {
   std::vector<MeshBlock<T>> blocks_;   ///< ascending block id
   std::vector<int> local_index_;       ///< block id -> index in blocks_, or -1
 };
+
+/// Local reduction over every allocated block's interior, blocks in
+/// ascending id order (at one block per rank: local_reduce of the section).
+template <typename T, typename Acc, typename F>
+Acc local_reduce(const BlockSet<T>& blocks, Acc init, F&& combine) {
+  for (const auto& b : blocks) {
+    if (b.allocated()) init = local_reduce(b.grid(), std::move(init), combine);
+  }
+  return init;
+}
 
 }  // namespace ppa::mesh

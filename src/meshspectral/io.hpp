@@ -17,6 +17,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "meshspectral/blockset.hpp"
@@ -88,48 +89,64 @@ void scatter_grid(mpl::Process& p, const mpl::CartGrid2D& pgrid,
 /// coordinates* (id + index window), so assembly is correct under any
 /// block→rank distribution — contiguous, round-robin, oversubscribed or
 /// deliberately imbalanced. Deallocated blocks contribute no data and
-/// assemble as exact zeros (their defined value). Returns the dense global
-/// array on root, an empty array elsewhere.
-template <mpl::Wire T>
-Array2D<T> gather_blocks(mpl::Process& p, const BlockSet<T>& blocks,
-                         int root = 0) {
+/// assemble as exact zeros (their defined value). The assembled value of a
+/// cell is fn(cell), so a derived field (a density, one species) gathers
+/// without first being stored as a block set of its own. Returns the dense
+/// global array on root, an empty array elsewhere.
+template <typename T, typename F,
+          mpl::Wire U = std::invoke_result_t<F&, const T&>>
+Array2D<U> gather_blocks_mapped(mpl::Process& p, const BlockSet<T>& blocks,
+                                F&& fn, int root = 0) {
   const auto& layout = blocks.layout();
   // Per-block header: {id, xlo, xhi, ylo, yhi, allocated}. Data part:
   // interiors of *allocated* blocks only, concatenated in header order.
   std::vector<std::uint64_t> headers;
-  std::vector<T> data;
   headers.reserve(blocks.size() * 6);
+  std::size_t cells = 0;
   for (const auto& b : blocks) {
     headers.insert(headers.end(),
                    {static_cast<std::uint64_t>(b.id()), b.x_range().lo,
                     b.x_range().hi, b.y_range().lo, b.y_range().hi,
                     static_cast<std::uint64_t>(b.allocated() ? 1 : 0)});
-    if (b.allocated()) {
-      const auto flat = b.grid().interior();
-      data.insert(data.end(), flat.flat().begin(), flat.flat().end());
+    if (b.allocated()) cells += b.nx() * b.ny();
+  }
+  std::vector<U> data(cells);
+  std::size_t k = 0;
+  for (const auto& b : blocks) {
+    if (!b.allocated()) continue;
+    for (std::size_t i = 0; i < b.nx(); ++i) {
+      const T* r = b.grid().row(static_cast<std::ptrdiff_t>(i));
+      for (std::size_t j = 0; j < b.ny(); ++j) data[k++] = fn(r[j]);
     }
   }
   auto all_headers = p.gather_parts(
       std::span<const std::uint64_t>(headers.data(), headers.size()), root);
   auto all_data =
-      p.gather_parts(std::span<const T>(data.data(), data.size()), root);
+      p.gather_parts(std::span<const U>(data.data(), data.size()), root);
   if (p.rank() != root) return {};
 
-  Array2D<T> out(layout.global_nx, layout.global_ny);  // zero-initialized
+  Array2D<U> out(layout.global_nx, layout.global_ny);  // zero-initialized
   for (std::size_t r = 0; r < all_headers.size(); ++r) {
     const auto& h = all_headers[r];
     const auto& d = all_data[r];
-    std::size_t k = 0;
+    std::size_t n = 0;
     for (std::size_t b = 0; b + 6 <= h.size(); b += 6) {
       const std::size_t xlo = h[b + 1], xhi = h[b + 2];
       const std::size_t ylo = h[b + 3], yhi = h[b + 4];
       if (h[b + 5] == 0) continue;  // deallocated: stays zero
       for (std::size_t i = xlo; i < xhi; ++i) {
-        for (std::size_t j = ylo; j < yhi; ++j) out(i, j) = d[k++];
+        for (std::size_t j = ylo; j < yhi; ++j) out(i, j) = d[n++];
       }
     }
   }
   return out;
+}
+
+/// gather_blocks_mapped of the field itself.
+template <mpl::Wire T>
+Array2D<T> gather_blocks(mpl::Process& p, const BlockSet<T>& blocks,
+                         int root = 0) {
+  return gather_blocks_mapped(p, blocks, [](const T& v) { return v; }, root);
 }
 
 /// Scatter a dense global array from `root` into a block-decomposed domain.

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <string>
 
 #include "apps/airshed/airshed.hpp"
@@ -174,9 +175,8 @@ AirshedConfig block_test_config() {
   return cfg;
 }
 
-/// Gather all four species from either sim type on rank 0.
-template <typename Sim>
-std::array<Array2D<double>, 4> gather_all(Sim& sim) {
+/// Gather all four species on rank 0.
+std::array<Array2D<double>, 4> gather_all(AirshedSim& sim) {
   return {sim.gather_species(0), sim.gather_species(1), sim.gather_species(2),
           sim.gather_species(3)};
 }
@@ -193,11 +193,12 @@ TEST(AirshedBlocks, OneBlockPerRankMatchesSingleGridBitwise) {
       auto out = gather_all(sim);
       if (proc.rank() == 0) grid_out = std::move(out);
     });
-    const auto layout = app::make_airshed_block_layout(cfg, p);
+    const auto layout = mesh::make_block_layout(
+        cfg.nx, cfg.ny, p, {}, mesh::Periodicity{cfg.periodic, cfg.periodic});
     const auto owner =
         mesh::distribute_blocks_contiguous(layout.nblocks(), p);
     mpl::spmd_run(p, [&](mpl::Process& proc) {
-      app::AirshedBlockSim sim(proc, layout, owner, cfg);
+      AirshedSim sim(proc, layout, owner, cfg);
       sim.run(kSteps);
       auto out = gather_all(sim);
       if (proc.rank() == 0) block_out = std::move(out);
@@ -229,32 +230,58 @@ TEST(AirshedBlocks, OversubscribedDistributionsMatchReferenceBitwise) {
     });
   }
   for (const int np : {2, 4}) {
-    for (const bool batched : {true, false}) {
-      app::AirshedBlockConfig config;
-      config.nbx = 4;
-      config.nby = 2;
-      config.owner = mesh::distribute_blocks_round_robin(8, np);
-      config.batched = batched;
-      const auto layout = app::make_airshed_block_layout(cfg, np, config);
-      std::array<Array2D<double>, 4> block_out;
-      mpl::spmd_run(np, [&](mpl::Process& proc) {
-        app::AirshedBlockSim sim(proc, layout, config.owner, cfg,
-                                 config.batched);
-        sim.run(kSteps);
-        auto out = gather_all(sim);
-        if (proc.rank() == 0) block_out = std::move(out);
-      });
-      for (int s = 0; s < 4; ++s) {
-        const auto& a = reference[static_cast<std::size_t>(s)];
-        const auto& b = block_out[static_cast<std::size_t>(s)];
-        for (std::size_t i = 0; i < a.rows(); ++i) {
-          for (std::size_t j = 0; j < a.cols(); ++j) {
-            ASSERT_EQ(a(i, j), b(i, j))
-                << "np=" << np << " batched=" << batched << " species " << s
-                << " at (" << i << "," << j << ")";
-          }
+    mesh::BlockConfig config;
+    config.nbx = 4;
+    config.nby = 2;
+    config.owner = mesh::distribute_blocks_round_robin(8, np);
+    const auto layout = mesh::make_block_layout(
+        cfg.nx, cfg.ny, np, config, mesh::Periodicity{cfg.periodic, cfg.periodic});
+    std::array<Array2D<double>, 4> block_out;
+    mpl::spmd_run(np, [&](mpl::Process& proc) {
+      AirshedSim sim(proc, layout, config.owner, cfg);
+      sim.run(kSteps);
+      auto out = gather_all(sim);
+      if (proc.rank() == 0) block_out = std::move(out);
+    });
+    for (int s = 0; s < 4; ++s) {
+      const auto& a = reference[static_cast<std::size_t>(s)];
+      const auto& b = block_out[static_cast<std::size_t>(s)];
+      for (std::size_t i = 0; i < a.rows(); ++i) {
+        for (std::size_t j = 0; j < a.cols(); ++j) {
+          ASSERT_EQ(a(i, j), b(i, j))
+              << "np=" << np << " species " << s << " at (" << i << "," << j
+              << ")";
         }
       }
+    }
+  }
+}
+
+TEST(AirshedBlocks, StripProcessGridsMatchNearSquareBitwise) {
+  // AirshedSim(p, pgrid, cfg) on strip process grids reproduces the
+  // near_square run bit for bit, every species.
+  const auto cfg = block_test_config();
+  constexpr int kSteps = 15;
+  const auto run = [&](const mpl::CartGrid2D& pgrid) {
+    std::array<Array2D<double>, 4> out;
+    mpl::spmd_run(pgrid.size(), [&](mpl::Process& proc) {
+      AirshedSim sim(proc, pgrid, cfg);
+      sim.run(kSteps);
+      auto fields = gather_all(sim);
+      if (proc.rank() == 0) out = std::move(fields);
+    });
+    return out;
+  };
+  const auto reference = run(mpl::CartGrid2D::near_square(4));
+  for (const auto pgrid : {mpl::CartGrid2D(4, 1), mpl::CartGrid2D(1, 4)}) {
+    const auto fields = run(pgrid);
+    for (std::size_t s = 0; s < 4; ++s) {
+      ASSERT_EQ(fields[s].rows(), reference[s].rows());
+      ASSERT_EQ(fields[s].cols(), reference[s].cols());
+      EXPECT_EQ(std::memcmp(fields[s].flat().data(), reference[s].flat().data(),
+                            reference[s].flat().size() * sizeof(double)),
+                0)
+          << pgrid.npx() << "x" << pgrid.npy() << " species " << s;
     }
   }
 }

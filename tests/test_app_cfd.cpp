@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 #include <string>
 
@@ -58,13 +59,15 @@ TEST(CfdApp, UniformStateIsSteady) {
     const EulerState s0 = app::to_conserved({1.3, 0.2, -0.1, 0.9}, cfg.gamma);
     sim.set_state([&](std::size_t, std::size_t) { return s0; });
     sim.run(20);
-    mesh::for_interior(sim.state(), [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-      const EulerState& s = sim.state()(i, j);
-      EXPECT_NEAR(s.rho, s0.rho, 1e-12);
-      EXPECT_NEAR(s.mx, s0.mx, 1e-12);
-      EXPECT_NEAR(s.my, s0.my, 1e-12);
-      EXPECT_NEAR(s.E, s0.E, 1e-12);
-    });
+    for (const auto& b : sim.state()) {
+      mesh::for_interior(b.grid(), [&](std::ptrdiff_t i, std::ptrdiff_t j) {
+        const EulerState& s = b.grid()(i, j);
+        EXPECT_NEAR(s.rho, s0.rho, 1e-12);
+        EXPECT_NEAR(s.mx, s0.mx, 1e-12);
+        EXPECT_NEAR(s.my, s0.my, 1e-12);
+        EXPECT_NEAR(s.E, s0.E, 1e-12);
+      });
+    }
   });
 }
 
@@ -190,7 +193,7 @@ TEST(CfdBlocks, OneBlockPerRankMatchesSingleGridBitwise) {
   constexpr int kSteps = 20;
   for (const int p : {1, 2, 4}) {
     const auto grid = app::run_shock_interface(cfg, kSteps, p);
-    const auto blk = app::run_shock_interface_blocks(cfg, kSteps, p);
+    const auto blk = app::run_shock_interface(cfg, kSteps, p, mesh::BlockConfig{});
     ASSERT_EQ(grid.rows(), blk.rows());
     for (std::size_t i = 0; i < grid.rows(); ++i) {
       for (std::size_t j = 0; j < grid.cols(); ++j) {
@@ -221,13 +224,14 @@ TEST(CfdBlocks, MessageCountsMatchSingleGridWithoutDuplicatePeers) {
           return 0;
         },
         &grid_trace);
-    const auto layout = app::make_cfd_block_layout(cfg, p);
+    const auto layout = mesh::make_block_layout(
+        cfg.nx, cfg.ny, p, {}, mesh::Periodicity{cfg.periodic_x, true});
     const auto owner =
         mesh::distribute_blocks_contiguous(layout.nblocks(), p);
     mpl::spmd_collect<int>(
         p,
         [&](mpl::Process& proc) {
-          app::CfdBlockSim sim(proc, layout, owner, cfg);
+          CfdSim sim(proc, layout, owner, cfg);
           sim.init_shock_interface();
           sim.run(kSteps);
           return 0;
@@ -247,23 +251,57 @@ TEST(CfdBlocks, OversubscribedDistributionsMatchReferenceBitwise) {
   constexpr int kSteps = 20;
   const auto reference = app::run_shock_interface(cfg, kSteps, 1);
   for (const int np : {2, 4}) {
-    app::CfdBlockConfig over;  // 4x2 = 8 blocks, oversubscribed
+    mesh::BlockConfig over;  // 4x2 = 8 blocks, oversubscribed
     over.nbx = 4;
     over.nby = 2;
-    app::CfdBlockConfig rr = over;
+    mesh::BlockConfig rr = over;
     rr.owner = mesh::distribute_blocks_round_robin(8, np);
-    rr.batched = false;
     for (const auto& config : {over, rr}) {
-      const auto blk =
-          app::run_shock_interface_blocks(cfg, kSteps, np, config);
+      const auto blk = app::run_shock_interface(cfg, kSteps, np, config);
       for (std::size_t i = 0; i < reference.rows(); ++i) {
         for (std::size_t j = 0; j < reference.cols(); ++j) {
           ASSERT_EQ(reference(i, j), blk(i, j))
-              << "np=" << np << " batched=" << config.batched << " at (" << i
+              << "np=" << np << " round_robin=" << !config.owner.empty()
+              << " at (" << i
               << "," << j << ")";
         }
       }
     }
+  }
+}
+
+TEST(CfdBlocks, StripProcessGridsMatchNearSquareBitwise) {
+  // CfdSim(p, pgrid, cfg) gives rank r the one block whose window is
+  // pgrid's section of rank r, and strip grids reproduce the near_square
+  // run bit for bit.
+  const auto cfg = block_test_config();
+  constexpr int kSteps = 15;
+  const auto run = [&](const mpl::CartGrid2D& pgrid) {
+    Array2D<double> density;
+    mpl::spmd_run(pgrid.size(), [&](mpl::Process& proc) {
+      CfdSim sim(proc, pgrid, cfg);
+      const mesh::Grid2D<double> section(cfg.nx, cfg.ny, pgrid, proc.rank(), 0);
+      EXPECT_EQ(sim.state().size(), 1u);
+      EXPECT_EQ(sim.state().block(0).x_range().lo, section.x_range().lo);
+      EXPECT_EQ(sim.state().block(0).x_range().hi, section.x_range().hi);
+      EXPECT_EQ(sim.state().block(0).y_range().lo, section.y_range().lo);
+      EXPECT_EQ(sim.state().block(0).y_range().hi, section.y_range().hi);
+      sim.init_shock_interface();
+      sim.run(kSteps);
+      auto rho = sim.gather_density(0);
+      if (proc.rank() == 0) density = std::move(rho);
+    });
+    return density;
+  };
+  const auto reference = run(mpl::CartGrid2D::near_square(4));
+  for (const auto pgrid : {mpl::CartGrid2D(4, 1), mpl::CartGrid2D(1, 4)}) {
+    const auto rho = run(pgrid);
+    ASSERT_EQ(rho.rows(), reference.rows());
+    ASSERT_EQ(rho.cols(), reference.cols());
+    EXPECT_EQ(std::memcmp(rho.flat().data(), reference.flat().data(),
+                          reference.flat().size() * sizeof(double)),
+              0)
+        << pgrid.npx() << "x" << pgrid.npy();
   }
 }
 

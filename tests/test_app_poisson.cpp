@@ -3,7 +3,10 @@
 // principle, and the archetype's per-iteration communication pattern.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numbers>
 #include <string>
 
@@ -182,7 +185,7 @@ TEST(PoissonBlocks, OneBlockPerRankMatchesSingleGridBitwise) {
   const auto prob = block_test_problem();
   for (const int p : {1, 2, 4}) {
     const auto v2 = app::poisson_spmd(prob, p);
-    const auto blk = app::poisson_blocks_spmd(prob, p);
+    const auto blk = app::poisson_spmd(prob, p, mesh::BlockConfig{});
     EXPECT_EQ(v2.iterations, blk.iterations) << "p=" << p;
     ASSERT_EQ(v2.u.rows(), blk.u.rows());
     for (std::size_t i = 0; i < v2.u.rows(); ++i) {
@@ -209,13 +212,13 @@ TEST(PoissonBlocks, OneBlockPerRankMatchesSingleGridMessageCounts) {
         return 0;
       },
       &grid_trace);
-  const auto layout = app::make_poisson_block_layout(prob, kP);
+  const auto layout = mesh::make_block_layout(prob.nx, prob.ny, kP, {});
   const auto owner =
       mesh::distribute_blocks_contiguous(layout.nblocks(), kP);
   mpl::spmd_collect<int>(
       kP,
       [&](mpl::Process& p) {
-        (void)app::poisson_blocks_process(p, layout, owner, prob);
+        (void)app::poisson_process(p, layout, owner, prob);
         return 0;
       },
       &block_trace);
@@ -227,31 +230,30 @@ TEST(PoissonBlocks, OneBlockPerRankMatchesSingleGridMessageCounts) {
 
 TEST(PoissonBlocks, AnyDistributionMatchesReferenceBitwise) {
   // Oversubscribed, non-divisible, and deliberately imbalanced block→rank
-  // maps — batched and not — all reproduce the reference field bitwise.
+  // maps all reproduce the reference field bitwise.
   const auto prob = block_test_problem();
   const auto reference = app::poisson_spmd(prob, 1);
 
   for (const int np : {1, 2, 4, 8}) {
-    std::vector<app::PoissonBlockConfig> configs;
-    app::PoissonBlockConfig over;  // 8 blocks, oversubscribed for np < 8
+    std::vector<mesh::BlockConfig> configs;
+    mesh::BlockConfig over;  // 8 blocks, oversubscribed for np < 8
     over.nbx = 4;
     over.nby = 2;
     configs.push_back(over);
-    app::PoissonBlockConfig nondiv;  // 9 blocks never divide evenly
+    mesh::BlockConfig nondiv;  // 9 blocks never divide evenly
     nondiv.nbx = 3;
     nondiv.nby = 3;
     nondiv.owner = mesh::distribute_blocks_round_robin(9, np);
     configs.push_back(nondiv);
-    app::PoissonBlockConfig lopsided;  // all on rank 0 but one
+    mesh::BlockConfig lopsided;  // all on rank 0 but one
     lopsided.nbx = 4;
     lopsided.nby = 2;
     lopsided.owner.assign(8, 0);
     lopsided.owner[5] = np - 1;
-    lopsided.batched = false;  // also exercises the per-pair path
     configs.push_back(lopsided);
 
     for (const auto& config : configs) {
-      const auto blk = app::poisson_blocks_spmd(prob, np, config);
+      const auto blk = app::poisson_spmd(prob, np, config);
       EXPECT_EQ(reference.iterations, blk.iterations) << "np=" << np;
       for (std::size_t i = 0; i < reference.u.rows(); ++i) {
         for (std::size_t j = 0; j < reference.u.cols(); ++j) {
@@ -261,6 +263,40 @@ TEST(PoissonBlocks, AnyDistributionMatchesReferenceBitwise) {
         }
       }
     }
+  }
+}
+
+TEST(PoissonBlocks, StripProcessGridsMatchVersion1Bitwise) {
+  // poisson_process(p, pgrid, prob) runs one block per rank, block (bx, by)
+  // on rank pgrid.rank_of(bx, by). Strip grids (every existing case is
+  // near_square) over odd extents: same iterations, same final_diffmax
+  // bits, same field as version 1.
+  PoissonProblem prob;
+  prob.nx = 37;
+  prob.ny = 29;
+  prob.tolerance = 1e-5;
+  prob.f = [](double x, double y) { return 2.0 * x - y; };
+  prob.g = [](double x, double y) { return std::cos(2.0 * x) + x * y; };
+  const auto v1 = app::poisson_v1(prob);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const auto pgrid : {mpl::CartGrid2D(4, 1), mpl::CartGrid2D(1, 4),
+                           mpl::CartGrid2D(3, 1)}) {
+    app::PoissonResult v2;
+    mpl::spmd_run(pgrid.size(), [&](mpl::Process& p) {
+      auto r = app::poisson_process(p, pgrid, prob);
+      if (p.rank() == 0) v2 = std::move(r);
+    });
+    const std::string what = std::to_string(pgrid.npx()) + "x" +
+                             std::to_string(pgrid.npy());
+    EXPECT_LT(v2.iterations, prob.max_iters) << what;
+    EXPECT_EQ(v2.iterations, v1.iterations) << what;
+    EXPECT_EQ(bits(v2.final_diffmax), bits(v1.final_diffmax)) << what;
+    ASSERT_EQ(v2.u.rows(), v1.u.rows()) << what;
+    ASSERT_EQ(v2.u.cols(), v1.u.cols()) << what;
+    EXPECT_EQ(std::memcmp(v2.u.flat().data(), v1.u.flat().data(),
+                          v1.u.flat().size() * sizeof(double)),
+              0)
+        << what;
   }
 }
 
