@@ -7,7 +7,8 @@
 //              runtime comparable to process-creation cost, where
 //              amortizing the skeleton is the whole game), and
 //   poisson  — a stream of small Poisson solves through the ported
-//              meshspectral driver (poisson_spmd on an engine).
+//              meshspectral driver (poisson_spmd through a Scheduler on
+//              an explicit engine).
 //
 // Results are written to BENCH_engine.json for cross-PR comparison.
 // Correctness (identical job results cold vs warm) always gates the exit
@@ -15,12 +16,14 @@
 // PPA_BENCH_SMOKE=1 selects a reduced configuration.
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "apps/poisson/poisson.hpp"
 #include "bench/bench_common.hpp"
 #include "bench/microbench.hpp"
 #include "mpl/engine.hpp"
+#include "mpl/scheduler.hpp"
 #include "mpl/spmd.hpp"
 
 namespace {
@@ -150,11 +153,11 @@ int main() {
       iters_cold += app::poisson_spmd(prob, poisson_np).iterations;
     }
   });
-  mpl::Engine poisson_engine(poisson_np);
+  mpl::Scheduler poisson_sched(std::make_shared<mpl::Engine>(poisson_np));
   const double t_poisson_warm = microbench::time_best_of(reps, [&] {
     iters_warm = 0;
     for (int s = 0; s < solves; ++s) {
-      iters_warm += app::poisson_spmd(prob, poisson_engine).iterations;
+      iters_warm += app::poisson_spmd(prob, poisson_sched).iterations;
     }
   });
   if (iters_cold != iters_warm) results_identical = false;

@@ -3,9 +3,9 @@
 //
 //   (a) async-vs-pool — the traditional divide-and-conquer archetype
 //       (Fig 1 mergesort) on the legacy thread-per-fork driver
-//       (dc::divide_and_conquer_async, live forks capped at hardware
-//       concurrency) vs the same recursion forked onto the pool
-//       (dc::divide_and_conquer). Both drivers walk the identical
+//       (dc::divide_and_conquer_async in bench/async_dc.hpp, live forks
+//       capped at hardware concurrency) vs the same recursion forked onto
+//       the pool (dc::divide_and_conquer). Both drivers walk the identical
 //       recursion tree and produce identical output; the difference is
 //       one OS thread spawn per fork vs one deque push per fork.
 //
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "apps/sort/sort.hpp"
+#include "bench/async_dc.hpp"
 #include "bench/bench_common.hpp"
 #include "bench/microbench.hpp"
 #include "core/core.hpp"

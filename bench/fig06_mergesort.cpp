@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "apps/sort/sort.hpp"
+#include "bench/async_dc.hpp"
 #include "bench/bench_common.hpp"
 #include "perfmodel/machine.hpp"
 #include "perfmodel/models.hpp"

@@ -150,24 +150,36 @@ awk '
   END { if (!found) { print "no kernels/summary row in BENCH_kernels.json"; exit 1 } }
 ' BENCH_kernels.json
 
-# ThreadSanitizer leg: the engine's monitor/abort/fault paths are the racy
-# part of the codebase; vet them under TSan when the toolchain supports it
-# (probe first — some images ship g++ without libtsan). The sequential-kernel
-# suites ride along: fft's thread_local twiddle tables and Poisson's grid
-# swap run on rank and pool threads; the cfd, airshed and block-set suites
-# exercise the stencil apps' one block-set driver and its batched exchange
-# plan. Bench and examples are skipped
-# (timing-sensitive), and the fault soak runs reduced.
+# AddressSanitizer + UndefinedBehaviorSanitizer leg: every suite, with every
+# report fatal (-fno-sanitize-recover=all, set by PPA_SANITIZE) and
+# libstdc++'s container bounds assertions on. Probed first, like the TSan
+# leg below. Bench and examples are skipped (timing-sensitive).
+if echo 'int main(){}' | g++ -xc++ -fsanitize=address,undefined \
+     -fno-sanitize-recover=all -o /tmp/asan_probe - 2>/dev/null; then
+  echo "==> ASan+UBSan build"
+  cmake -B "$BUILD_DIR-asan" -S . -DPPA_SANITIZE=address,undefined \
+    -DPPA_BUILD_BENCH=OFF -DPPA_BUILD_EXAMPLES=OFF
+  cmake --build "$BUILD_DIR-asan" -j "$JOBS"
+  echo "==> ASan+UBSan test (all suites)"
+  ctest --test-dir "$BUILD_DIR-asan" --output-on-failure -j "$JOBS"
+else
+  echo "==> ASan+UBSan leg skipped (no usable -fsanitize=address,undefined toolchain)"
+fi
+
+# ThreadSanitizer leg: every suite, when the toolchain supports it (probe
+# first — some images ship g++ without libtsan). The engine's
+# monitor/abort/fault paths and the work-stealing pool are the racy parts of
+# the codebase, but every suite runs SPMD bodies or pool tasks on several
+# threads. Bench and examples are skipped (timing-sensitive), and the fault,
+# scheduler and compose soaks run reduced.
 if echo 'int main(){}' | g++ -xc++ -fsanitize=thread -o /tmp/tsan_probe - 2>/dev/null; then
   echo "==> TSan build"
   cmake -B "$BUILD_DIR-tsan" -S . -DPPA_SANITIZE=thread \
     -DPPA_BUILD_BENCH=OFF -DPPA_BUILD_EXAMPLES=OFF
   cmake --build "$BUILD_DIR-tsan" -j "$JOBS"
-  echo "==> TSan test (engine + scheduler + pipeline + faults + compose + kernels + stencil apps)"
+  echo "==> TSan test (all suites)"
   PPA_FAULT_SOAK_JOBS=40 PPA_SCHED_SOAK_JOBS=40 PPA_COMPOSE_SMOKE=1 \
-    ctest --test-dir "$BUILD_DIR-tsan" \
-    --output-on-failure -j "$JOBS" \
-    -R 'test_engine|test_scheduler|test_pipeline|test_faults|test_compose|test_algorithms|test_app_fft2d|test_kernels|test_app_poisson|test_app_cfd|test_app_airshed|test_blockset'
+    ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure -j "$JOBS"
 else
   echo "==> TSan leg skipped (no usable -fsanitize=thread toolchain)"
 fi

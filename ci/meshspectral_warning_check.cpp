@@ -36,10 +36,10 @@ namespace {
                                       const mpl::CartGrid3D& pg3) {
   Grid2D<double> g2(8, 8, pg2, 0, 1);
   Grid3D<double> g3(8, 8, 8, pg3, 0, 1);
-  exchange_boundaries(p, pg2, g2);
-  exchange_boundaries_mixed(p, pg2, g2, Periodicity{true, false});
-  exchange_boundaries_periodic(p, pg2, g2);
-  exchange_boundaries(p, pg3, g3);
+  ExchangePlan2D(pg2, p.rank(), g2).exchange(p, g2);
+  ExchangePlan2D(pg2, p.rank(), g2, ExchangePlan2D::Options{{true, false}, true, 0})
+      .exchange(p, g2);
+  ExchangePlan3D(pg3, p.rank(), g3).exchange(p, g3);
 
   ExchangePlan2D plan2(pg2, 0, g2);
   plan2.begin_exchange(p, g2);

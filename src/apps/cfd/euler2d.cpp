@@ -341,17 +341,6 @@ Array2D<double> CfdSim::gather_vorticity(int root) {
   return omega;
 }
 
-namespace {
-
-/// One rank's share of the scenario run; the density is rank 0's.
-Array2D<double> shock_interface(CfdSim& sim, int steps) {
-  sim.init_shock_interface();
-  sim.run(steps);
-  return sim.gather_density(0);
-}
-
-}  // namespace
-
 Array2D<double> run_shock_interface(const CfdConfig& cfg, int steps, int nprocs,
                                     const mesh::BlockConfig& config) {
   const auto layout =
@@ -360,20 +349,9 @@ Array2D<double> run_shock_interface(const CfdConfig& cfg, int steps, int nprocs,
   Array2D<double> density;
   mpl::spmd_run(nprocs, [&](mpl::Process& p) {
     CfdSim sim(p, layout, owner, cfg);
-    auto rho = shock_interface(sim, steps);
-    if (p.rank() == 0) density = std::move(rho);
-  });
-  return density;
-}
-
-Array2D<double> run_shock_interface(const CfdConfig& cfg, int steps,
-                                    mpl::Engine& engine, int nprocs) {
-  if (nprocs <= 0) nprocs = engine.width();
-  const auto pgrid = mpl::CartGrid2D::near_square(nprocs);
-  Array2D<double> density;
-  engine.run(nprocs, [&](mpl::Process& p) {
-    CfdSim sim(p, pgrid, cfg);
-    auto rho = shock_interface(sim, steps);
+    sim.init_shock_interface();
+    sim.run(steps);
+    auto rho = sim.gather_density(0);
     if (p.rank() == 0) density = std::move(rho);
   });
   return density;

@@ -157,10 +157,4 @@ class CfdSim {
     const CfdConfig& cfg, int steps, int nprocs,
     const mesh::BlockConfig& config = {});
 
-/// Same scenario as one warm job on a persistent engine (`nprocs` defaults
-/// to the engine width); back-to-back runs reuse the engine's rank threads.
-[[nodiscard]] Array2D<double> run_shock_interface(const CfdConfig& cfg, int steps,
-                                                  mpl::Engine& engine,
-                                                  int nprocs = 0);
-
 }  // namespace ppa::app

@@ -394,18 +394,4 @@ Array2D<double> run_em_scattering(const EmConfig& cfg, int steps, int nprocs) {
   return plane;
 }
 
-Array2D<double> run_em_scattering(const EmConfig& cfg, int steps,
-                                  mpl::Engine& engine, int nprocs) {
-  if (nprocs <= 0) nprocs = engine.width();
-  const auto pgrid = mpl::CartGrid3D::near_cubic(nprocs);
-  Array2D<double> plane;
-  engine.run(nprocs, [&](mpl::Process& p) {
-    FdtdSim sim(p, pgrid, cfg);
-    sim.run(steps);
-    auto ez = sim.gather_ez_plane(0);
-    if (p.rank() == 0) plane = std::move(ez);
-  });
-  return plane;
-}
-
 }  // namespace ppa::app

@@ -119,10 +119,4 @@ class FdtdSim {
 [[nodiscard]] Array2D<double> run_em_scattering(const EmConfig& cfg, int steps,
                                                 int nprocs);
 
-/// Same scenario as one warm job on a persistent engine (`nprocs` defaults
-/// to the engine width); back-to-back runs reuse the engine's rank threads.
-[[nodiscard]] Array2D<double> run_em_scattering(const EmConfig& cfg, int steps,
-                                                mpl::Engine& engine,
-                                                int nprocs = 0);
-
 }  // namespace ppa::app

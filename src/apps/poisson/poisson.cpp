@@ -222,21 +222,6 @@ PoissonResult poisson_spmd(const PoissonProblem& prob, int nprocs,
   return result;
 }
 
-PoissonResult poisson_spmd(const PoissonProblem& prob, mpl::Engine& engine,
-                           int nprocs, const mpl::JobOptions& options) {
-  if (nprocs <= 0) nprocs = engine.width();
-  const auto pgrid = mpl::CartGrid2D::near_square(nprocs);
-  PoissonResult result;
-  engine.run(
-      nprocs,
-      [&](mpl::Process& p) {
-        auto local = poisson_process(p, pgrid, prob);
-        if (p.rank() == 0) result = std::move(local);
-      },
-      options);
-  return result;
-}
-
 PoissonResult poisson_spmd(const PoissonProblem& prob, mpl::Scheduler& scheduler,
                            int nprocs, mpl::Priority priority,
                            const mpl::JobOptions& options) {

@@ -82,19 +82,15 @@ struct PoissonResult {
 [[nodiscard]] PoissonResult poisson_spmd(const PoissonProblem& prob, int nprocs,
                                          const mesh::BlockConfig& config = {});
 
-/// Version 2 on a persistent engine: one warm SPMD job per call (`nprocs`
-/// defaults to the engine width). A stream of solves on one engine reuses
-/// rank threads and mailbox lanes instead of respawning per problem.
-/// `options` attaches a per-job deadline / cancel token / watchdog (job.hpp).
-[[nodiscard]] PoissonResult poisson_spmd(const PoissonProblem& prob,
-                                         mpl::Engine& engine, int nprocs = 0,
-                                         const mpl::JobOptions& options = {});
-
-/// Version 2 through a space-sharing Scheduler (mpl/scheduler.hpp): a
-/// narrow solve runs concurrently with other narrow jobs on a wide engine,
-/// queueing (priority-ordered, bounded) when ranks are busy. `nprocs`
-/// defaults to the scheduler's full width; a deadline counts from
-/// submission, queueing time included.
+/// Version 2 on a persistent engine, through a space-sharing Scheduler
+/// (mpl/scheduler.hpp): one warm SPMD job per call, so a stream of solves
+/// reuses rank threads and mailbox lanes instead of respawning per problem.
+/// A narrow solve runs concurrently with other narrow jobs on a wide
+/// engine, queueing (priority-ordered, bounded) when ranks are busy; a solo
+/// solve gets ranks {0..nprocs-1}. `nprocs` defaults to the scheduler's
+/// full width. `options` attaches a per-job deadline / cancel token /
+/// watchdog (job.hpp); a deadline counts from submission, queueing time
+/// included.
 [[nodiscard]] PoissonResult poisson_spmd(const PoissonProblem& prob,
                                          mpl::Scheduler& scheduler,
                                          int nprocs = 0,

@@ -6,11 +6,9 @@
 // every split/merge level passes over all the data, and the concurrency
 // profile is a tree (maximum parallelism only during the leaf solves).
 //
-// The default driver forks onto the work-stealing pool
-// (dc::divide_and_conquer); traditional_mergesort_async keeps the paper's
-// literal process-per-split execution (dc::divide_and_conquer_async) as the
-// measured baseline for bench/ablation_taskdc.cpp. Both produce output
-// identical to a sequential merge sort.
+// The sort forks onto the work-stealing pool (dc::divide_and_conquer); the
+// paper's literal process-per-split execution is the benchmark baseline in
+// bench/async_dc.hpp. Output is identical to a sequential merge sort.
 #pragma once
 
 #include <cstddef>
@@ -67,23 +65,6 @@ std::vector<T> traditional_mergesort(std::vector<T> data, int nprocs,
   const detail::MergesortSpec<T, Compare> spec{
       std::max<std::size_t>(1, data.size() >> static_cast<unsigned>(depth)), cmp};
   return dc::divide_and_conquer<std::vector<T>, std::vector<T>>(
-      std::move(data),
-      [&spec](const std::vector<T>& p) { return spec.is_base(p); },
-      [&spec](std::vector<T> p) { return spec.base(std::move(p)); },
-      [&spec](std::vector<T> p) { return spec.split(std::move(p)); },
-      [&spec](std::vector<std::vector<T>> s) { return spec.merge(std::move(s)); },
-      depth);
-}
-
-/// The same sort on the legacy thread-per-fork driver (bench baseline).
-template <typename T, typename Compare = std::less<T>>
-std::vector<T> traditional_mergesort_async(std::vector<T> data, int nprocs,
-                                           Compare cmp = {}) {
-  if (data.size() <= 1) return data;
-  const int depth = dc::fork_depth_for(nprocs);
-  const detail::MergesortSpec<T, Compare> spec{
-      std::max<std::size_t>(1, data.size() >> static_cast<unsigned>(depth)), cmp};
-  return dc::divide_and_conquer_async<std::vector<T>, std::vector<T>>(
       std::move(data),
       [&spec](const std::vector<T>& p) { return spec.is_base(p); },
       [&spec](std::vector<T> p) { return spec.base(std::move(p)); },

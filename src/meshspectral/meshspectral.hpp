@@ -1,6 +1,6 @@
 // ppa/meshspectral/meshspectral.hpp — umbrella header for the mesh-spectral
 // archetype: distributed grids (2-D/3-D) with ghost boundaries, persistent
-// split-phase halo-exchange plans plus blocking exchange wrappers,
+// split-phase halo-exchange plans (with a blocking exchange()),
 // multi-block domains (block sets with batched per-peer boundary rounds and
 // sparse block allocation), grid/reduction operations (including overlapped
 // core/rim stencils), layout-aware field views and SIMD-friendly sweep
@@ -12,7 +12,6 @@
 
 #include "meshspectral/blockplan.hpp"  // IWYU pragma: export
 #include "meshspectral/blockset.hpp"   // IWYU pragma: export
-#include "meshspectral/exchange.hpp"   // IWYU pragma: export
 #include "meshspectral/field.hpp"      // IWYU pragma: export
 #include "meshspectral/global.hpp"     // IWYU pragma: export
 #include "meshspectral/grid2d.hpp"     // IWYU pragma: export

@@ -243,16 +243,6 @@ void Engine::acquire_ranks(const std::vector<int>& ranks) {
   for (const int r : ranks) rank_busy_[static_cast<std::size_t>(r)] = true;
 }
 
-bool Engine::try_acquire_ranks(const std::vector<int>& ranks) {
-  const std::scoped_lock lock(ctrl_mutex_);
-  if (shutdown_) return false;
-  for (const int r : ranks) {
-    if (rank_busy_[static_cast<std::size_t>(r)]) return false;
-  }
-  for (const int r : ranks) rank_busy_[static_cast<std::size_t>(r)] = true;
-  return true;
-}
-
 void Engine::release_ranks(const std::vector<int>& ranks) {
   {
     const std::scoped_lock lock(ctrl_mutex_);
@@ -335,25 +325,12 @@ TraceSnapshot Engine::execute(JobExec& exec,
   return exec.ctx.trace().snapshot();
 }
 
-namespace {
-void validate_submission(int nprocs, int width, const Engine* self,
-                         const Engine* rank_engine) {
-  if (nprocs < 1 || nprocs > width) {
-    throw std::invalid_argument("Engine::run: nprocs must be in [1, width()]");
-  }
-  if (rank_engine == self) {
-    throw std::logic_error(
-        "Engine::run called from one of this engine's own rank threads (a "
-        "job cannot submit to its own engine); use spmd_run, which falls "
-        "back to a cold world");
-  }
-}
-}  // namespace
-
 TraceSnapshot Engine::run_job(int nprocs,
                               const std::function<void(Process&)>& body,
                               const JobOptions& options) {
-  validate_submission(nprocs, width_, this, t_rank_engine);
+  if (nprocs < 1 || nprocs > width_) {
+    throw std::invalid_argument("Engine::run: nprocs must be in [1, width()]");
+  }
   std::vector<int> ranks(static_cast<std::size_t>(nprocs));
   std::iota(ranks.begin(), ranks.end(), 0);
   return run_on_ranks(ranks, body, options);
@@ -362,6 +339,7 @@ TraceSnapshot Engine::run_job(int nprocs,
 TraceSnapshot Engine::run_on_ranks(const std::vector<int>& ranks,
                                    const std::function<void(Process&)>& body,
                                    const JobOptions& options) {
+  // The one rank-thread check for every submission (run_job lands here).
   if (t_rank_engine == this) {
     throw std::logic_error(
         "Engine::run called from one of this engine's own rank threads (a "
@@ -379,24 +357,6 @@ TraceSnapshot Engine::run_on_ranks(const std::vector<int>& ranks,
     release_ranks(ranks);
     throw;
   }
-}
-
-bool Engine::try_run_job(int nprocs, const std::function<void(Process&)>& body,
-                         TraceSnapshot& out) {
-  validate_submission(nprocs, width_, this, t_rank_engine);
-  const InflightGuard guard(*this);
-  std::vector<int> ranks(static_cast<std::size_t>(nprocs));
-  std::iota(ranks.begin(), ranks.end(), 0);
-  if (!try_acquire_ranks(ranks)) return false;
-  JobExec exec(*world_, ranks);
-  try {
-    out = execute(exec, body, JobOptions{});
-  } catch (...) {
-    release_ranks(ranks);
-    throw;
-  }
-  release_ranks(ranks);
-  return true;
 }
 
 std::shared_ptr<Engine> process_engine(int min_width) {

@@ -138,15 +138,6 @@ class Engine {
                              const std::function<void(Process&)>& body,
                              const JobOptions& options = {});
 
-  /// Non-blocking submission: runs the job only if ranks [0, nprocs) are
-  /// all idle *right now*, returning false (without running anything)
-  /// otherwise. Never waits — the submitted run may be a transitive
-  /// dependency of an in-flight job (e.g. a thread-pool task the running
-  /// job is waiting on issues its own spmd_run), so blocking could
-  /// deadlock. Exceptions from a job that did run propagate as in run().
-  bool try_run_job(int nprocs, const std::function<void(Process&)>& body,
-                   TraceSnapshot& out);
-
  private:
   /// Why the monitor tore a job down (kNone = it did not).
   enum class FailureReason : int { kNone = 0, kCancelled, kDeadline, kStalled };
@@ -194,14 +185,12 @@ class Engine {
   void disarm_monitor(JobExec& exec);
   /// Block until every rank in the set is idle, then mark them busy.
   void acquire_ranks(const std::vector<int>& ranks);
-  /// Mark busy if all idle right now; false (nothing marked) otherwise.
-  bool try_acquire_ranks(const std::vector<int>& ranks);
   void release_ranks(const std::vector<int>& ranks);
   /// Dispatch + rendezvous + failure processing; ranks already acquired.
   TraceSnapshot execute(JobExec& exec, const std::function<void(Process&)>& body,
                         const JobOptions& options);
 
-  /// Counts submitter frames inside run_on_ranks/try_run_job so the
+  /// Counts submitter frames inside run_on_ranks so the
   /// destructor can drain them before tearing down members they touch.
   class InflightGuard;
 

@@ -37,10 +37,11 @@
 //    is granted in time, only the *remaining* budget is handed to the
 //    engine's per-job monitor.
 //
-// Deadlock rules (the transitive-dependency hazard documented on
-// Engine::try_run_job applies doubly to a queue: a queued job whose
-// admission depends on a running job that is itself waiting on the queued
-// job's submitter would wedge both):
+// Deadlock rules (a submission may be a transitive dependency of an
+// in-flight job — e.g. a thread-pool task the running job waits on issues
+// its own spmd_run — so a queued job whose admission depends on a running
+// job that is itself waiting on the queued job's submitter would wedge
+// both):
 //  * run() from one of the engine's own rank threads throws
 //    std::logic_error — a job body must not queue on its own engine.
 //  * try_run_job() never queues: it admits only if the queue is empty and

@@ -113,11 +113,19 @@ TraceSnapshot spmd_run(int nprocs, Body&& body) {
 /// per-rank results in rank order (and the trace via out-param if given).
 template <typename R, typename Body>
 std::vector<R> spmd_collect(int nprocs, Body&& body, TraceSnapshot* trace = nullptr) {
-  std::vector<R> results(static_cast<std::size_t>(nprocs));
+  // One object per rank: ranks write their slots concurrently, and a
+  // std::vector<bool> would pack several ranks' results into one word.
+  struct Slot {
+    R value{};
+  };
+  std::vector<Slot> slots(static_cast<std::size_t>(nprocs));
   auto snapshot = spmd_run(nprocs, [&](Process& p) {
-    results[static_cast<std::size_t>(p.rank())] = body(p);
+    slots[static_cast<std::size_t>(p.rank())].value = body(p);
   });
   if (trace != nullptr) *trace = snapshot;
+  std::vector<R> results;
+  results.reserve(slots.size());
+  for (auto& slot : slots) results.push_back(std::move(slot.value));
   return results;
 }
 

@@ -2,12 +2,16 @@
 // submission, per-job epochs (independent traces, re-armed barrier, emptied
 // mailboxes), abort-then-reuse, the spmd_run warm wrapper, recyclable tag
 // blocks (mpl/tagspace.hpp), and the engine-backed archetype drivers
-// (pipeline::run_engine, bnb::solve_engine, onedeep::run_engine).
+// (pipeline::run_engine, bnb::solve_engine, onedeep::run_engine), each
+// submitted through a Scheduler over the engine under test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -19,6 +23,7 @@
 #include "core/onedeep.hpp"
 #include "core/pipeline.hpp"
 #include "mpl/engine.hpp"
+#include "mpl/scheduler.hpp"
 #include "mpl/spmd.hpp"
 #include "mpl/tagspace.hpp"
 
@@ -289,8 +294,10 @@ TEST(EngineDrivers, PipelineJobsRecycleTagBlocks) {
   // (2 edges -> 4 tags): looping plan construction past this capacity is
   // the regression the recyclable allocator exists for — the old
   // process-global monotone counter would exhaust on the second run.
-  Engine engine(3, std::make_shared<TagSpace>(kReservedTagSpaceBase,
-                                              kReservedTagSpaceBase + 4));
+  auto engine = std::make_shared<Engine>(
+      3, std::make_shared<TagSpace>(kReservedTagSpaceBase,
+                                    kReservedTagSpaceBase + 4));
+  Scheduler sched(engine);
   for (int run = 0; run < 25; ++run) {
     int next = 0;
     long total = 0;
@@ -300,12 +307,12 @@ TEST(EngineDrivers, PipelineJobsRecycleTagBlocks) {
                 pipeline::stage([](int v) { return v * 2; }) |
                 pipeline::sink([&total](int v) { total += v; });
     ASSERT_EQ(plan.ranks_required(), 3);
-    plan.run_engine(engine);
+    plan.run_engine(sched);
     EXPECT_EQ(total, 56);
-    EXPECT_EQ(engine.world().tag_space().outstanding(), 0)
+    EXPECT_EQ(engine->world().tag_space().outstanding(), 0)
         << "pipeline run " << run << " leaked its tag block";
   }
-  EXPECT_EQ(engine.jobs_run(), 25u);
+  EXPECT_EQ(engine->jobs_run(), 25u);
 }
 
 /// Minimize the sum of a 3-level ternary tree path (values 0..2 per level).
@@ -370,19 +377,19 @@ struct SampleSortSpec {
 };
 
 TEST(EngineDrivers, BnbSolveOnWarmEngine) {
-  Engine engine(4);
+  Scheduler sched(std::make_shared<Engine>(4));
   TernaryPathSpec spec;
   for (int run = 0; run < 3; ++run) {
     bnb::ProcessStats stats;
     const double best =
-        bnb::solve_engine(spec, engine, TernaryPathSpec::Node{}, 4, 16, 2, &stats);
+        bnb::solve_engine(spec, sched, TernaryPathSpec::Node{}, 4, 16, 2, &stats);
     EXPECT_EQ(best, 0.0);
     EXPECT_GT(stats.rounds, 0u);
   }
 }
 
 TEST(EngineDrivers, OneDeepOnWarmEngine) {
-  Engine engine(4);
+  Scheduler sched(std::make_shared<Engine>(4));
   SampleSortSpec spec;
   std::vector<int> data(64);
   for (std::size_t i = 0; i < data.size(); ++i) {
@@ -392,17 +399,92 @@ TEST(EngineDrivers, OneDeepOnWarmEngine) {
   std::sort(expected.begin(), expected.end());
   for (int run = 0; run < 3; ++run) {
     auto locals = onedeep::run_engine(
-        spec, engine, onedeep::block_distribute(data, 4));
+        spec, sched, onedeep::block_distribute(data, 4));
     EXPECT_EQ(onedeep::gather_blocks(std::move(locals)), expected);
   }
 }
 
+/// SampleSortSpec whose local solve first waits (bounded) until every rank
+/// of both concurrent jobs has arrived, so the two jobs provably overlap.
+struct RendezvousSortSpec : SampleSortSpec {
+  struct Rendezvous {
+    std::mutex mutex;
+    std::condition_variable cv;
+    int arrived = 0;
+    int met = 0;  ///< ranks that saw all `expected` arrivals in time
+    int expected = 0;
+  };
+  Rendezvous* rendezvous = nullptr;
+
+  void local_solve(std::vector<int>& local) const {
+    if (rendezvous != nullptr) {
+      std::unique_lock lock(rendezvous->mutex);
+      ++rendezvous->arrived;
+      rendezvous->cv.notify_all();
+      if (rendezvous->cv.wait_for(lock, std::chrono::seconds(10), [this] {
+            return rendezvous->arrived >= rendezvous->expected;
+          })) {
+        ++rendezvous->met;
+      }
+    }
+    SampleSortSpec::local_solve(local);
+  }
+};
+
+TEST(EngineDrivers, OneDeepConcurrentJobsEqualSolo) {
+  // Two np=2 one-deep jobs on a width-4 scheduler run side by side on rank
+  // sets {0,1} and {2,3}; each final distribution must equal the solo run's.
+  auto engine = std::make_shared<Engine>(4);
+  Scheduler sched(engine);
+  std::vector<int> data_a(48);
+  std::vector<int> data_b(40);
+  for (std::size_t i = 0; i < data_a.size(); ++i) {
+    data_a[i] = static_cast<int>((i * 37) % 101);
+  }
+  for (std::size_t i = 0; i < data_b.size(); ++i) {
+    data_b[i] = static_cast<int>((i * 53) % 89) - 20;
+  }
+  RendezvousSortSpec solo_spec;
+  const auto solo_a =
+      onedeep::run_engine(solo_spec, sched, onedeep::block_distribute(data_a, 2));
+  const auto solo_b =
+      onedeep::run_engine(solo_spec, sched, onedeep::block_distribute(data_b, 2));
+
+  RendezvousSortSpec::Rendezvous rendezvous;
+  rendezvous.expected = 4;
+  RendezvousSortSpec spec_a;
+  RendezvousSortSpec spec_b;
+  spec_a.rendezvous = &rendezvous;
+  spec_b.rendezvous = &rendezvous;
+  std::vector<std::vector<int>> concurrent_a;
+  std::jthread other([&] {
+    concurrent_a =
+        onedeep::run_engine(spec_a, sched, onedeep::block_distribute(data_a, 2));
+  });
+  const auto concurrent_b =
+      onedeep::run_engine(spec_b, sched, onedeep::block_distribute(data_b, 2));
+  other.join();
+
+  EXPECT_EQ(rendezvous.met, 4) << "the two np=2 jobs did not overlap";
+  EXPECT_EQ(sched.stats().concurrency_high_water, 2);
+  EXPECT_EQ(concurrent_a, solo_a);
+  EXPECT_EQ(concurrent_b, solo_b);
+  auto sorted_a = data_a;
+  auto sorted_b = data_b;
+  std::sort(sorted_a.begin(), sorted_a.end());
+  std::sort(sorted_b.begin(), sorted_b.end());
+  EXPECT_EQ(onedeep::gather_blocks(concurrent_a), sorted_a);
+  EXPECT_EQ(onedeep::gather_blocks(concurrent_b), sorted_b);
+  EXPECT_EQ(engine->jobs_run(), 4u);
+}
+
 TEST(EngineDrivers, MixedJobStreamOnOneEngine) {
   // The serving shape: heterogeneous jobs interleaved on one warm engine.
-  Engine engine(4);
+  auto engine = std::make_shared<Engine>(4);
+  Scheduler sched(engine);
   for (int round = 0; round < 5; ++round) {
-    engine.run(4, [](Process& p) { (void)p.allgather_value(p.rank()); });
-    engine.run(2, [](Process& p) {
+    engine->run(4, [](Process& p) { (void)p.allgather_value(p.rank()); });
+    engine->run(2, [](Process& p) {
       if (p.rank() == 0) p.send_value(1, 3, 1);
       if (p.rank() == 1) (void)p.recv_value<int>(0, 3);
     });
@@ -413,11 +495,11 @@ TEST(EngineDrivers, MixedJobStreamOnOneEngine) {
                 }) |
                 pipeline::stage([](int v) { return v + 1; }) |
                 pipeline::sink([&total](int v) { total += v; });
-    plan.run_engine(engine);
+    plan.run_engine(sched);
     EXPECT_EQ(total, 10);
   }
-  EXPECT_EQ(engine.jobs_run(), 15u);
-  EXPECT_EQ(engine.world().tag_space().outstanding(), 0);
+  EXPECT_EQ(engine->jobs_run(), 15u);
+  EXPECT_EQ(engine->world().tag_space().outstanding(), 0);
 }
 
 TEST(TagSpace, ExhaustionReportsRequestAndOutstanding) {

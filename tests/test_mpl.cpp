@@ -210,6 +210,21 @@ TEST(Spmd, CollectReturnsPerRankResults) {
   EXPECT_EQ(results, (std::vector<int>{0, 1, 4, 9, 16}));
 }
 
+TEST(Spmd, CollectBoolResultsDoNotShareStorageAcrossRanks) {
+  // Ranks store their results concurrently; bool results once went into a
+  // packed std::vector<bool>, where neighbouring ranks' writes race on one
+  // word (ThreadSanitizer reports it, and a lost update drops a result).
+  for (int rep = 0; rep < 50; ++rep) {
+    const auto results = spmd_collect<bool>(
+        8, [rep](Process& p) { p.barrier(); return (p.rank() + rep) % 3 != 0; });
+    ASSERT_EQ(results.size(), 8u);
+    for (int r = 0; r < 8; ++r) {
+      EXPECT_EQ(results[static_cast<std::size_t>(r)], (r + rep) % 3 != 0)
+          << "rep " << rep << " rank " << r;
+    }
+  }
+}
+
 TEST(Spmd, SendrecvExchange) {
   spmd_run(2, [](Process& p) {
     const int partner = 1 - p.rank();

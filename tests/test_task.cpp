@@ -16,6 +16,7 @@
 #include "algorithms/hull.hpp"
 #include "algorithms/skyline.hpp"
 #include "apps/sort/traditional_mergesort.hpp"
+#include "bench/async_dc.hpp"
 #include "core/core.hpp"
 #include "support/rng.hpp"
 
