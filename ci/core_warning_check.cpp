@@ -129,7 +129,7 @@ static_assert(bnb::Spec<CanaryBnbSpec>);
                    pipeline::farm(2, [] { return CanaryFlushWorker{}; },
                                   pipeline::unordered) |
                    pipeline::sink([&total](long v) { total += v; });
-  spmd_plan.run_process(p, pipeline::default_config());
+  spmd_plan.run_process(p, pipeline::Config{});
 }
 
 /// Force-instantiate the persistent-engine API (never executed): job
@@ -175,34 +175,38 @@ static_assert(bnb::Spec<CanaryBnbSpec>);
               }) |
               pipeline::stage([](long v) { return v + 1; }) |
               pipeline::sink([&total](long v) { total += v; });
-  (void)plan.run_engine(scheduler, pipeline::default_config());
+  (void)plan.run_engine(scheduler, pipeline::Config{});
 }
 
-/// Force-instantiate the typed composition layer (never executed): the full
-/// combinator surface — plain and hosted nodes, ordered/unordered hosted
-/// farms, the degenerate source|sink graph — plus every Graph entry point
-/// and the shape-metadata accessors.
+/// Force-instantiate the typed composition layer (never executed): every
+/// combinator — plain and hosted nodes, ordered and unordered hosted farms,
+/// the degenerate source|sink graph — every Graph entry point, the shape
+/// metadata and checks, and the label of a hosted node on a bare plan.
 [[maybe_unused]] void instantiate_compose(mpl::Scheduler& scheduler) {
   long total = 0;
   long next = 0;
+  const auto hosted_sum = [](mpl::Process& p, const long& v) {
+    return p.allreduce(v, [](long a, long b) { return a + b; });
+  };
   auto graph = compose::source([next]() mutable -> std::optional<long> {
                  return next < 4 ? std::optional<long>(next++) : std::nullopt;
                }) |
                compose::stage([](long v) { return v + 1; }) |
-               compose::engine_job(2, [](mpl::Process& p, const long& v) {
-                 return p.allreduce(v, [](long a, long b) { return a + b; });
-               }) |
+               compose::engine_job(2, hosted_sum) |
                compose::farm(2, [] { return [](long v) { return 2 * v; }; },
                              compose::ordered) |
+               compose::engine_farm(2, 2, hosted_sum, compose::ordered) |
                compose::engine_farm(2, 2,
                                     [](mpl::Process& p, const long& v) {
                                       return v + static_cast<long>(p.size());
                                     },
                                     compose::unordered) |
                compose::sink([&total](long v) { total += v; });
-  (void)graph.node_meta();
+  compose::validate_farm_order(graph.node_meta(), "canary");
+  compose::validate_hosted_widths(graph.node_meta(), graph.hosted_width(), "canary");
+  graph.validate_width(scheduler.width(), "canary");
+  (void)compose::node_label(graph.node_meta()[2], 2, graph.node_meta().size());
   (void)graph.node_label(0);
-  (void)graph.hosted_width();
   graph.run_sequential();
   (void)graph.run_threaded(compose::Config{});
   (void)graph.run_scheduler(scheduler, compose::Config{}, mpl::Priority::kHigh,
@@ -210,7 +214,16 @@ static_assert(bnb::Spec<CanaryBnbSpec>);
 
   auto degenerate = compose::source([]() -> std::optional<int> { return {}; }) |
                     compose::sink([](int) {});
+  (void)degenerate.node_meta();
+  (void)degenerate.hosted_width();
   degenerate.run_sequential();
+
+  // A hosted node on a bare pipeline plan: its label comes from the plan.
+  auto plan = pipeline::source([]() -> std::optional<long> { return {}; }) |
+              compose::engine_job(2, hosted_sum) |
+              pipeline::sink([&total](long v) { total += v; });
+  (void)plan.node_label(1);
+  (void)plan.node_meta();
 }
 
 }  // namespace

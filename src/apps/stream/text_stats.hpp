@@ -169,7 +169,7 @@ inline WordStats text_sequential(const TextConfig& cfg) {
 }
 
 inline std::pair<WordStats, pipeline::RunStats> text_threaded(
-    const TextConfig& cfg, pipeline::Config pcfg = pipeline::default_config()) {
+    const TextConfig& cfg, pipeline::Config pcfg = pipeline::Config{}) {
   WordStats total;
   auto stats = make_text_plan(cfg, total).run_threaded(pcfg);
   return {total, std::move(stats)};
@@ -178,7 +178,7 @@ inline std::pair<WordStats, pipeline::RunStats> text_threaded(
 /// SPMD driver body; the sink rank returns the merged stats, other ranks an
 /// empty WordStats.
 inline WordStats text_process(mpl::Process& p, const TextConfig& cfg,
-                              pipeline::Config pcfg = pipeline::default_config()) {
+                              pipeline::Config pcfg = pipeline::Config{}) {
   WordStats total;
   make_text_plan(cfg, total).run_process(p, pcfg);
   return total;

@@ -2,23 +2,6 @@
 
 namespace ppa::compose {
 
-std::string node_label(const NodeMeta& meta, std::size_t index,
-                       std::size_t n_nodes) {
-  if (meta.kind == NodeMeta::Kind::kSource || index == 0) return "source";
-  if (meta.kind == NodeMeta::Kind::kSink || index + 1 == n_nodes) return "sink";
-  const std::string idx = std::to_string(index);
-  const std::string np = std::to_string(meta.hosted_np);
-  if (meta.kind == NodeMeta::Kind::kFarm) {
-    const std::string order = meta.ordered ? "ordered" : "unordered";
-    if (meta.hosted_np > 0) {
-      return "hosted-farm#" + idx + " (" + order + ", np=" + np + ")";
-    }
-    return "farm#" + idx + " (" + order + ")";
-  }
-  if (meta.hosted_np > 0) return "hosted#" + idx + " (np=" + np + ")";
-  return "stage#" + idx;
-}
-
 void validate_hosted_widths(const std::vector<NodeMeta>& meta, int available,
                             const std::string& what) {
   for (std::size_t j = 0; j < meta.size(); ++j) {
@@ -26,24 +9,6 @@ void validate_hosted_widths(const std::vector<NodeMeta>& meta, int available,
       throw GraphShapeError(
           node_label(meta[j], j, meta.size()), meta[j].hosted_np, available,
           what + ": hosted job wider than the engine serving this graph");
-    }
-  }
-}
-
-void validate_farm_order(const std::vector<NodeMeta>& meta) {
-  bool in_order = true;
-  for (std::size_t j = 0; j < meta.size(); ++j) {
-    if (meta[j].kind != NodeMeta::Kind::kFarm) continue;
-    if (meta[j].ordered) {
-      if (!in_order) {
-        throw GraphShapeError(
-            node_label(meta[j], j, meta.size()), 0, 0,
-            "graph build: an ordered farm cannot be downstream of an "
-            "unordered farm (the order it would restore is already the "
-            "nondeterministic completion order)");
-      }
-    } else {
-      in_order = false;
     }
   }
 }

@@ -11,41 +11,45 @@
 //          | compose::engine_farm(3, 2, analyze,    // 3 replicas, each hosting
 //                                 compose::unordered)  //   2-rank jobs
 //          | compose::sink(emit);
-//   g.run_sequential();                 // hosted jobs via warm spmd_run
+//   g.run_sequential();                 // hosted jobs via spmd_run
 //   g.run_threaded(cfg);                // stage threads + hosted spmd_run
 //   g.run_scheduler(sched, cfg);        // hosted jobs space-share the engine
 //
-// The front-end is PR 4's operator| pipeline builder (core/pipeline.hpp):
-// every compose combinator wraps the corresponding pipeline node, so the
-// stage value-type threading that makes ill-typed pipelines fail to compile
-// applies unchanged — composing a stage whose input type does not match its
-// predecessor's output is a build-time error. What compose adds on top:
+// A composed graph is a pipeline::Plan (core/pipeline.hpp) plus the bindings
+// of its hosted stages. source, stage and farm *are* the pipeline's
+// combinators, and so is operator|: the stage value-type threading that
+// makes ill-typed pipelines fail to compile applies unchanged. Only
+// compose::sink is distinct — attaching it closes the graph, builds the Plan
+// and collects the hosted bindings from the node tuple. What compose adds:
 //
 //  * Hosted stages. engine_job(np, body) lifts an SPMD body
-//    `Out body(mpl::Process&, const In&)` into a pipeline stage: each
-//    stream item runs the body as one np-wide job (rank 0's return value
-//    continues downstream). engine_farm(width, np, body, tag) replicates a
-//    hosted stage `width` ways — up to `width` concurrent np-rank jobs.
+//    `Out body(mpl::Process&, const In&)` into a pipeline stage whose
+//    callable (detail::HostedFn) runs each stream item as one np-wide job
+//    (rank 0's return value continues downstream). engine_farm(width, np,
+//    body, tag) is a pipeline farm of such callables — up to `width`
+//    concurrent np-rank jobs. Both report hosted_np(), which is how the
+//    plan's shape metadata (pipeline::NodeMeta) records them.
 //    Determinism contract: body(item) must not depend on which replica ran
 //    it (bodies receive identical inputs and np is fixed per node), so a
 //    composed graph's output is bitwise-identical across all three drivers
 //    for np-invariant bodies — the same bar every prior driver port met.
-//  * Shape checking with typed errors. Rank-width metadata (NodeMeta) rides
-//    every node; violations throw GraphShapeError (core/graph_error.hpp)
-//    naming the offending node: a hosted node with np < 1 at combinator
-//    call, an ordered farm downstream of an unordered one at graph build
-//    (operator| with the sink), and a hosted np wider than the scheduler's
-//    engine at run_scheduler — before anything runs.
+//  * Shape checking with typed errors. Violations throw GraphShapeError
+//    (core/graph_error.hpp) naming the offending node: a hosted node with
+//    np < 1 at combinator call, an ordered farm downstream of an unordered
+//    one at graph build (the pipeline's farm-order check), and a hosted np
+//    wider than the scheduler's engine at run_scheduler — before anything
+//    runs.
 //  * One deadline for the whole graph. run_scheduler's JobOptions are
 //    anchored at the run's start (JobOptions::anchor): every hosted job is
 //    charged against the remaining *graph* budget, queueing time included,
 //    instead of each submission restarting the clock.
 //
-// Driver guidance: run_sequential is the debug mode (plain pull loop;
-// hosted jobs still run np-wide via spmd_run's warm path). run_threaded
-// overlaps stages but submits hosted jobs the same way. run_scheduler is
-// the serving shape: hosted jobs from concurrent farm replicas space-share
-// the engine in disjoint rank sets, with priority classes and the anchored
+// Driver guidance: run_sequential is the debug mode (plain pull loop).
+// run_threaded overlaps stages. Both run hosted jobs through spmd_run, which
+// submits to the warm process engine and runs a cold world only when that
+// engine is busy or the call is nested (mpl/spmd.hpp). run_scheduler is the
+// serving shape: hosted jobs from concurrent farm replicas space-share the
+// engine in disjoint rank sets, with priority classes and the anchored
 // deadline. There is deliberately no run_process for composed graphs — the
 // outer graph stays on local threads (items may be non-trivially-copyable,
 // e.g. whole grids) while the width goes into the hosted jobs.
@@ -84,48 +88,33 @@
 
 namespace ppa::compose {
 
-// The tuning/ordering vocabulary is the pipeline's.
+// The combinators, tuning/ordering vocabulary and shape metadata are the
+// pipeline's.
 using pipeline::Config;
+using pipeline::farm;
+using pipeline::node_label;
+using pipeline::NodeMeta;
 using pipeline::ordered;
 using pipeline::ordered_t;
 using pipeline::RunStats;
+using pipeline::source;
+using pipeline::stage;
 using pipeline::unordered;
 using pipeline::unordered_t;
-
-/// Per-node shape metadata, source-to-sink. This is what the width checks
-/// and GraphShapeError messages are computed from.
-struct NodeMeta {
-  enum class Kind { kSource, kStage, kFarm, kSink };
-  Kind kind = Kind::kStage;
-  int replicas = 1;    ///< farm width (serial nodes: 1)
-  bool ordered = false;
-  int hosted_np = 0;   ///< ranks per hosted job (0 = not a hosted node)
-};
-
-/// The GraphShapeError label for node `index` of `n_nodes` ("source",
-/// "sink", "stage#2", "farm#1 (ordered)", "hosted#2 (np=4)",
-/// "hosted-farm#3 (unordered, np=2)"). Defined in compose.cpp.
-[[nodiscard]] std::string node_label(const NodeMeta& meta, std::size_t index,
-                                     std::size_t n_nodes);
+using pipeline::validate_farm_order;
 
 /// Reject hosted nodes wider than `available` ranks (GraphShapeError naming
 /// the first offender). `what` goes into the message ("run_scheduler", ...).
 void validate_hosted_widths(const std::vector<NodeMeta>& meta, int available,
                             const std::string& what);
 
-/// Reject an ordered farm anywhere downstream of an unordered one
-/// (GraphShapeError naming the ordered farm). Composed graphs enforce this
-/// at build time on every driver — one shape contract, not a per-driver
-/// surprise (the SPMD pipeline driver rejects the same shape at run time).
-void validate_farm_order(const std::vector<NodeMeta>& meta);
-
 namespace detail {
 
 /// How hosted stages execute, shared by every hosted node of one Graph run.
-/// Rebound by Graph::run_* before the pipeline starts: inline (warm
-/// spmd_run) for run_sequential/run_threaded, scheduler submission (with
-/// priority and graph-anchored JobOptions) for run_scheduler. Hosted
-/// callables hold it by shared_ptr so the binding survives node moves.
+/// Rebound by Graph::run_* before the pipeline starts: inline (spmd_run)
+/// for run_sequential/run_threaded, scheduler submission (with priority and
+/// graph-anchored JobOptions) for run_scheduler. Hosted callables hold it
+/// by shared_ptr so the binding survives node moves.
 struct HostBinding {
   mpl::Scheduler* scheduler = nullptr;  ///< null = inline spmd_run
   mpl::Priority priority = mpl::Priority::kNormal;
@@ -165,93 +154,38 @@ class HostedFn {
     return std::move(*result);
   }
 
+  [[nodiscard]] int hosted_np() const noexcept { return np_; }
+  [[nodiscard]] const HostBindingPtr& binding() const noexcept { return binding_; }
+
  private:
   int np_;
   Body body_;
   HostBindingPtr binding_;
 };
 
-/// One combinator's contribution: the pipeline node it wraps, its shape
-/// metadata, and (for hosted nodes) the binding its callables share.
-template <typename Node>
-struct Piece {
-  Node node;
-  NodeMeta meta;
-  std::vector<HostBindingPtr> bindings;
+/// An engine_farm's worker factory: every replica is a copy of one HostedFn,
+/// so all replicas share its host binding.
+template <typename Body>
+struct HostedWorkers {
+  HostedFn<Body> prototype;
+
+  HostedFn<Body> operator()() const { return prototype; }
+  [[nodiscard]] int hosted_np() const noexcept { return prototype.hosted_np(); }
+  [[nodiscard]] const HostBindingPtr& binding() const noexcept {
+    return prototype.binding();
+  }
 };
 
-/// An open graph: source + mids, waiting for the sink.
-template <typename SrcF, typename... Mids>
-struct OpenGraph {
-  pipeline::SourceNode<SrcF> src;
-  std::tuple<Mids...> mids;
-  std::vector<NodeMeta> meta;
-  std::vector<HostBindingPtr> bindings;
-};
-
-template <typename Node>
-inline constexpr bool is_sink_node = false;
+/// What compose::sink returns: a sink that closes the graph into a Graph
+/// instead of a bare pipeline::Plan.
 template <typename F>
-inline constexpr bool is_sink_node<pipeline::SinkNode<F>> = true;
-
-template <typename Node>
-struct sink_fn;
-template <typename F>
-struct sink_fn<pipeline::SinkNode<F>> {
-  using type = F;
+struct GraphSink {
+  F fn;
 };
-
-inline void append_meta(std::vector<NodeMeta>& meta,
-                        std::vector<HostBindingPtr>& bindings,
-                        NodeMeta node_meta,
-                        std::vector<HostBindingPtr> node_bindings) {
-  meta.push_back(node_meta);
-  for (auto& b : node_bindings) bindings.push_back(std::move(b));
-}
 
 }  // namespace detail
 
 // ----------------------------------------------------------- combinators --
-
-/// Stream source: () -> std::optional<Item>; nullopt ends the stream.
-template <typename F>
-[[nodiscard]] auto source(F&& fn) {
-  using Node = pipeline::SourceNode<std::decay_t<F>>;
-  return detail::Piece<Node>{pipeline::source(std::forward<F>(fn)),
-                             NodeMeta{NodeMeta::Kind::kSource, 1, false, 0},
-                             {}};
-}
-
-/// Serial stage: Item -> Out, or Item -> std::optional<Out> (filter).
-template <typename F>
-[[nodiscard]] auto stage(F&& fn) {
-  using Node = pipeline::StageNode<std::decay_t<F>>;
-  return detail::Piece<Node>{pipeline::stage(std::forward<F>(fn)),
-                             NodeMeta{NodeMeta::Kind::kStage, 1, false, 0},
-                             {}};
-}
-
-/// Replicated stage (pipeline farm): `make_worker()` is called once per
-/// replica; pass compose::ordered / compose::unordered for the output
-/// ordering policy.
-template <typename MW>
-[[nodiscard]] auto farm(int width, MW&& make_worker, ordered_t tag) {
-  using Node = pipeline::FarmNode<std::decay_t<MW>>;
-  auto node = pipeline::farm(width, std::forward<MW>(make_worker), tag);
-  const int w = node.width;
-  return detail::Piece<Node>{std::move(node),
-                             NodeMeta{NodeMeta::Kind::kFarm, w, true, 0},
-                             {}};
-}
-template <typename MW>
-[[nodiscard]] auto farm(int width, MW&& make_worker, unordered_t tag) {
-  using Node = pipeline::FarmNode<std::decay_t<MW>>;
-  auto node = pipeline::farm(width, std::forward<MW>(make_worker), tag);
-  const int w = node.width;
-  return detail::Piece<Node>{std::move(node),
-                             NodeMeta{NodeMeta::Kind::kFarm, w, false, 0},
-                             {}};
-}
 
 /// Hosted stage: each stream item runs `Out body(mpl::Process&, const In&)`
 /// as one np-wide SPMD job; rank 0's return value continues downstream.
@@ -262,13 +196,8 @@ template <typename Body>
     throw GraphShapeError("hosted stage", 1, np,
                           "engine_job: a hosted job needs at least one rank");
   }
-  auto binding = std::make_shared<detail::HostBinding>();
-  using Fn = detail::HostedFn<std::decay_t<Body>>;
-  using Node = pipeline::StageNode<Fn>;
-  return detail::Piece<Node>{
-      pipeline::stage(Fn(np, std::forward<Body>(body), binding)),
-      NodeMeta{NodeMeta::Kind::kStage, 1, false, np},
-      {std::move(binding)}};
+  return pipeline::stage(detail::HostedFn<std::decay_t<Body>>(
+      np, std::forward<Body>(body), std::make_shared<detail::HostBinding>()));
 }
 
 /// Hosted farm: `width` replicas of a hosted stage — up to `width`
@@ -283,69 +212,56 @@ template <typename Body, typename Tag>
     throw GraphShapeError("hosted farm", 1, np,
                           "engine_farm: a hosted job needs at least one rank");
   }
-  auto binding = std::make_shared<detail::HostBinding>();
-  using Fn = detail::HostedFn<std::decay_t<Body>>;
-  auto make_worker = [np, body = std::decay_t<Body>(std::forward<Body>(body)),
-                      binding]() { return Fn(np, body, binding); };
-  using Node = pipeline::FarmNode<std::decay_t<decltype(make_worker)>>;
-  auto node = pipeline::farm(width, std::move(make_worker), tag);
-  const int w = node.width;
-  return detail::Piece<Node>{
-      std::move(node),
-      NodeMeta{NodeMeta::Kind::kFarm, w, std::is_same_v<Tag, ordered_t>, np},
-      {std::move(binding)}};
+  return pipeline::farm(
+      width,
+      detail::HostedWorkers<std::decay_t<Body>>{{np, std::forward<Body>(body),
+                                                 std::make_shared<detail::HostBinding>()}},
+      tag);
 }
 
-/// Stream sink: Item -> void.
+/// Stream sink: Item -> void. Attaching it with operator| closes the graph.
 template <typename F>
-[[nodiscard]] auto sink(F&& fn) {
-  using Node = pipeline::SinkNode<std::decay_t<F>>;
-  return detail::Piece<Node>{pipeline::sink(std::forward<F>(fn)),
-                             NodeMeta{NodeMeta::Kind::kSink, 1, false, 0},
-                             {}};
+[[nodiscard]] detail::GraphSink<std::decay_t<F>> sink(F&& fn) {
+  return {std::forward<F>(fn)};
 }
 
 // ----------------------------------------------------------------- graph --
 
-/// A closed composed graph: the pipeline plan plus shape metadata and the
-/// hosted-stage bindings. Built by operator| when the sink is attached
-/// (which is also where build-time shape validation runs).
+/// A closed composed graph: the pipeline plan plus the hosted-stage
+/// bindings. Built by operator| when the sink is attached (which is also
+/// where the farm-order check runs).
 template <typename SrcF, typename SinkF, typename... Mids>
 class Graph {
  public:
   using Plan = pipeline::Plan<SrcF, SinkF, Mids...>;
 
-  Graph(Plan plan, std::vector<NodeMeta> meta,
-        std::vector<detail::HostBindingPtr> bindings)
-      : plan_(std::move(plan)),
-        meta_(std::move(meta)),
-        bindings_(std::move(bindings)) {
-    validate_farm_order(meta_);
+  Graph(Plan plan, std::vector<detail::HostBindingPtr> bindings)
+      : plan_(std::move(plan)), bindings_(std::move(bindings)) {
+    validate_farm_order(plan_.node_meta(), "graph build");
   }
 
   /// Shape metadata, source-to-sink (one entry per node).
   [[nodiscard]] const std::vector<NodeMeta>& node_meta() const noexcept {
-    return meta_;
+    return plan_.node_meta();
   }
   /// The GraphShapeError label for node `j` (source = 0).
   [[nodiscard]] std::string node_label(std::size_t j) const {
-    return compose::node_label(meta_[j], j, meta_.size());
+    return plan_.node_label(j);
   }
   /// Widest hosted job in the graph (0 when nothing is hosted) — the
   /// minimum engine width run_scheduler needs.
   [[nodiscard]] int hosted_width() const noexcept {
     int w = 0;
-    for (const auto& m : meta_) w = std::max(w, m.hosted_np);
+    for (const auto& m : node_meta()) w = std::max(w, m.hosted_np);
     return w;
   }
   /// Check every hosted node fits `available` ranks; GraphShapeError names
   /// the first offender. run_scheduler calls this with the engine width.
   void validate_width(int available, const std::string& what) const {
-    validate_hosted_widths(meta_, available, what);
+    validate_hosted_widths(node_meta(), available, what);
   }
 
-  /// Debug driver: plain pull loop; hosted jobs run np-wide via spmd_run's
-  /// warm path (space-shared when the process engine has room).
+  /// Debug driver: plain pull loop; hosted jobs run np-wide via spmd_run.
   void run_sequential() {
     bind_inline();
     plan_.run_sequential();
@@ -353,7 +269,7 @@ class Graph {
 
   /// Overlapped driver: one thread per serial node, farm batches on the
   /// work-stealing pool; hosted jobs via spmd_run, same as run_sequential.
-  RunStats run_threaded(Config cfg = pipeline::default_config()) {
+  RunStats run_threaded(Config cfg = Config{}) {
     bind_inline();
     return plan_.run_threaded(cfg);
   }
@@ -365,8 +281,7 @@ class Graph {
   /// charged against the remaining graph budget (queueing included) —
   /// JobOptions::anchor semantics in mpl/job.hpp. Throws GraphShapeError
   /// before anything runs if a hosted np exceeds the scheduler's width.
-  RunStats run_scheduler(mpl::Scheduler& scheduler,
-                         Config cfg = pipeline::default_config(),
+  RunStats run_scheduler(mpl::Scheduler& scheduler, Config cfg = Config{},
                          mpl::Priority priority = mpl::Priority::kNormal,
                          mpl::JobOptions options = {}) {
     validate_width(scheduler.width(), "run_scheduler");
@@ -384,71 +299,48 @@ class Graph {
 
  private:
   void bind_inline() {
-    for (const auto& b : bindings_) {
-      b->scheduler = nullptr;
-      b->priority = mpl::Priority::kNormal;
-      b->options = {};
-    }
+    for (const auto& b : bindings_) *b = detail::HostBinding{};
   }
 
   Plan plan_;
-  std::vector<NodeMeta> meta_;
   std::vector<detail::HostBindingPtr> bindings_;
 };
 
 // ------------------------------------------------------------- operator| --
 //
-// The operators live in detail so argument-dependent lookup finds them via
-// Piece/OpenGraph (which are detail members) from any namespace — callers
-// never need a using-declaration.
+// Only the two closing overloads are compose's; everything upstream of the
+// sink is the pipeline's operator|. They live in detail, next to GraphSink,
+// so argument-dependent lookup finds them from any namespace.
 
 namespace detail {
 
-template <typename SrcF, typename Node>
-[[nodiscard]] auto operator|(detail::Piece<pipeline::SourceNode<SrcF>> src,
-                             detail::Piece<Node> next) {
-  if constexpr (detail::is_sink_node<Node>) {
-    // Degenerate source|sink graph.
-    using F = typename detail::sink_fn<Node>::type;
-    std::vector<NodeMeta> meta{src.meta, next.meta};
-    return Graph<SrcF, F>(
-        pipeline::Plan<SrcF, F>(std::move(src.node), std::tuple<>{},
-                                std::move(next.node)),
-        std::move(meta), std::move(src.bindings));
-  } else {
-    detail::OpenGraph<SrcF, Node> open{std::move(src.node),
-                                       std::tuple<Node>{std::move(next.node)},
-                                       {},
-                                       std::move(src.bindings)};
-    open.meta.push_back(src.meta);
-    detail::append_meta(open.meta, open.bindings, next.meta,
-                        std::move(next.bindings));
-    return open;
-  }
+template <typename SrcF, typename F, typename... Mids>
+[[nodiscard]] auto close_graph(pipeline::SourceNode<SrcF> src, std::tuple<Mids...> mids,
+                               GraphSink<F> snk) {
+  std::vector<HostBindingPtr> bindings;
+  const auto collect = [&bindings](const auto& node) {
+    if constexpr (requires { node.fn.binding(); }) {
+      bindings.push_back(node.fn.binding());
+    } else if constexpr (requires { node.make_worker.binding(); }) {
+      bindings.push_back(node.make_worker.binding());
+    }
+  };
+  std::apply([&](const auto&... node) { (collect(node), ...); }, mids);
+  return Graph<SrcF, F, Mids...>(
+      pipeline::Plan<SrcF, F, Mids...>(std::move(src), std::move(mids),
+                                       pipeline::SinkNode<F>{std::move(snk.fn)}),
+      std::move(bindings));
 }
 
-template <typename SrcF, typename... Mids, typename Node>
-[[nodiscard]] auto operator|(detail::OpenGraph<SrcF, Mids...> open,
-                             detail::Piece<Node> next) {
-  detail::append_meta(open.meta, open.bindings, next.meta,
-                      std::move(next.bindings));
-  return detail::OpenGraph<SrcF, Mids..., Node>{
-      std::move(open.src),
-      std::tuple_cat(std::move(open.mids),
-                     std::tuple<Node>{std::move(next.node)}),
-      std::move(open.meta), std::move(open.bindings)};
+template <typename SrcF, typename F>
+[[nodiscard]] auto operator|(pipeline::SourceNode<SrcF> src, GraphSink<F> snk) {
+  return close_graph(std::move(src), std::tuple<>{}, std::move(snk));
 }
 
 template <typename SrcF, typename... Mids, typename F>
-[[nodiscard]] auto operator|(detail::OpenGraph<SrcF, Mids...> open,
-                             detail::Piece<pipeline::SinkNode<F>> snk) {
-  detail::append_meta(open.meta, open.bindings, snk.meta,
-                      std::move(snk.bindings));
-  return Graph<SrcF, F, Mids...>(
-      pipeline::Plan<SrcF, F, Mids...>(std::move(open.src),
-                                       std::move(open.mids),
-                                       std::move(snk.node)),
-      std::move(open.meta), std::move(open.bindings));
+[[nodiscard]] auto operator|(pipeline::detail::OpenPipe<SrcF, Mids...> open,
+                             GraphSink<F> snk) {
+  return close_graph(std::move(open.src), std::move(open.mids), std::move(snk));
 }
 
 }  // namespace detail

@@ -36,7 +36,7 @@
 // ordered one (wire-level resequencing needs a seq-ordered input stream);
 // both violations throw std::logic_error on every rank.
 //
-// Three drivers with one semantics (deterministic programs produce
+// Four drivers with one semantics (deterministic programs produce
 // identical results; unordered-farm output is the same multiset):
 //
 //   run_sequential()  — plain pull loop, the paper's "debug in the
@@ -87,6 +87,7 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
+#include <concepts>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -98,6 +99,7 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <type_traits>
@@ -189,13 +191,52 @@ template <typename F>
   return {std::forward<F>(fn)};
 }
 
+// ---------------------------------------------------------------- shape --
+
+/// Per-node shape metadata, source-to-sink. A Plan computes it once from its
+/// node types; rank widths, labels and every shape check read it.
+struct NodeMeta {
+  enum class Kind { kSource, kStage, kFarm, kSink };
+  Kind kind = Kind::kStage;
+  int replicas = 1;    ///< farm width (serial nodes: 1)
+  bool ordered = false;
+  int hosted_np = 0;   ///< ranks per hosted job (0 = not a hosted node)
+};
+
+/// The node name a GraphShapeError reports for node `index` of `n_nodes`:
+/// "source", "sink", "stage#2", "farm#1 (ordered)", "hosted#2 (np=4)",
+/// "hosted-farm#3 (unordered, np=2)". Defined in pipeline.cpp.
+[[nodiscard]] std::string node_label(const NodeMeta& meta, std::size_t index,
+                                     std::size_t n_nodes);
+
+/// Reject an ordered farm anywhere downstream of an unordered one, with a
+/// GraphShapeError naming the ordered farm; `what` prefixes the message
+/// ("run_process", "graph build"). The order such a farm would restore is
+/// already the nondeterministic completion order.
+void validate_farm_order(const std::vector<NodeMeta>& meta, const std::string& what);
+
 namespace detail {
 
-/// The node name a GraphShapeError reports: "source", "sink", "stage#j" or
-/// "farm#j (ordered|unordered)", where j is the node's index in the graph
-/// (source = 0, sink = n_nodes - 1). Defined in pipeline.cpp.
-[[nodiscard]] std::string node_label(std::size_t index, std::size_t n_nodes,
-                                     bool is_farm, bool is_ordered);
+/// A stage callable or farm worker factory that runs each item as an np-wide
+/// job reports np through hosted_np() (compose::engine_job/engine_farm).
+template <typename F>
+int hosted_np_of(const F& f) {
+  if constexpr (requires { { f.hosted_np() } -> std::convertible_to<int>; }) {
+    return f.hosted_np();
+  } else {
+    return 0;
+  }
+}
+
+template <typename F>
+NodeMeta node_meta(const StageNode<F>& node) {
+  return {NodeMeta::Kind::kStage, 1, false, hosted_np_of(node.fn)};
+}
+template <typename MW>
+NodeMeta node_meta(const FarmNode<MW>& node) {
+  return {NodeMeta::Kind::kFarm, node.width, node.ordered,
+          hosted_np_of(node.make_worker)};
+}
 
 // ------------------------------------------------------------ type plumbing
 
@@ -734,10 +775,6 @@ std::vector<Out> apply_batch(Fn& fn, std::vector<In> items) {
 
 }  // namespace detail
 
-/// Configuration with env overrides (PPA_PIPELINE_QUEUE, PPA_PIPELINE_BATCH);
-/// see pipeline.cpp.
-[[nodiscard]] Config default_config();
-
 // ------------------------------------------------------------------ plan --
 
 template <typename SrcF, typename SinkF, typename... Mids>
@@ -769,23 +806,36 @@ class Plan {
 
  public:
   Plan(SourceNode<SrcF> src, MidTuple mids, SinkNode<SinkF> snk)
-      : src_(std::move(src)), mids_(std::move(mids)), sink_(std::move(snk)) {}
+      : src_(std::move(src)),
+        mids_(std::move(mids)),
+        sink_(std::move(snk)),
+        meta_(std::apply(
+            [](const auto&... node) {
+              return std::vector<NodeMeta>{{NodeMeta::Kind::kSource},
+                                           detail::node_meta(node)...,
+                                           {NodeMeta::Kind::kSink}};
+            },
+            mids_)) {}
+
+  /// Shape metadata, one record per node, source-to-sink. The compose layer
+  /// (core/compose.hpp) reads it to check a graph against an engine's width.
+  [[nodiscard]] const std::vector<NodeMeta>& node_meta() const noexcept {
+    return meta_;
+  }
 
   /// Ranks run_process needs: one per serial node, `width` per farm.
   [[nodiscard]] int ranks_required() const {
     int total = 0;
-    for (const int w : node_widths()) total += w;
+    for (const auto& m : meta_) total += m.replicas;
     return total;
   }
 
-  /// Width metadata: ranks per node, source-to-sink (serial nodes 1, farms
-  /// their replica count). This is what the compose layer (core/compose.hpp)
-  /// reads to check a graph against an engine's capacity.
+  /// Ranks per node, source-to-sink (serial nodes 1, farms their replica
+  /// count).
   [[nodiscard]] std::vector<int> node_widths() const {
-    std::vector<int> widths(kNodes, 1);
-    [&]<std::size_t... Is>(std::index_sequence<Is...>) {
-      ((widths[Is + 1] = node_width(std::get<Is>(mids_))), ...);
-    }(std::make_index_sequence<kMids>{});
+    std::vector<int> widths;
+    widths.reserve(kNodes);
+    for (const auto& m : meta_) widths.push_back(m.replicas);
     return widths;
   }
 
@@ -796,7 +846,7 @@ class Plan {
 
   /// The name GraphShapeError reports for node `j` (source = 0).
   [[nodiscard]] std::string node_label(std::size_t j) const {
-    return detail::node_label(j, kNodes, node_is_farm(j), node_is_ordered(j));
+    return pipeline::node_label(meta_[j], j, kNodes);
   }
 
   // ------------------------------------------------------- sequential --
@@ -814,7 +864,7 @@ class Plan {
 
   // --------------------------------------------------------- threaded --
 
-  RunStats run_threaded(Config cfg = default_config()) {
+  RunStats run_threaded(Config cfg = Config{}) {
     normalize(cfg);
     return run_threaded_impl(cfg, std::make_index_sequence<kMids>{});
   }
@@ -824,12 +874,11 @@ class Plan {
   /// SPMD driver; call from every rank of the world (collectively). Ranks
   /// beyond ranks_required() idle through the run. Throws on every rank if
   /// the world is too small or an ordered farm feeds another farm.
-  void run_process(mpl::Process& p, Config cfg = default_config()) {
+  void run_process(mpl::Process& p, Config cfg = Config{}) {
     normalize(cfg);
     const auto widths = node_widths();
-    validate_process_layout(widths);
-    int required = 0;
-    for (const int w : widths) required += w;
+    validate_process_layout();
+    const int required = ranks_required();
     if (p.size() < required) {
       // Name the first node whose rank block does not fit the world.
       int acc = 0;
@@ -884,7 +933,7 @@ class Plan {
   /// release via the abort and computing stages stop at their next edge
   /// operation.
   mpl::TraceSnapshot run_engine(mpl::Scheduler& scheduler,
-                                Config cfg = default_config(), int nprocs = 0,
+                                Config cfg = Config{}, int nprocs = 0,
                                 mpl::Priority priority = mpl::Priority::kNormal,
                                 const mpl::JobOptions& options = {}) {
     if (nprocs <= 0) nprocs = ranks_required();
@@ -899,17 +948,7 @@ class Plan {
     if (cfg.batch > cfg.queue_capacity) cfg.batch = cfg.queue_capacity;
   }
 
-  template <typename Node>
-  static int node_width(const Node& node) {
-    if constexpr (detail::is_farm_node<Node>) {
-      return node.width;
-    } else {
-      (void)node;
-      return 1;
-    }
-  }
-
-  void validate_process_layout(const std::vector<int>& widths) const {
+  void validate_process_layout() const {
     // Two wire-level constraints on ordered farms (both irrelevant to the
     // threaded driver, whose reordering happens inside the farm node):
     //
@@ -920,78 +959,23 @@ class Plan {
     //    deadlock-freedom argument) relies on batches entering the ordered
     //    farm's workers in global seq order; an unordered farm scrambles
     //    the seqs, after which a withheld out-of-order ack can starve the
-    //    producer holding the missing seq. ("Ordered after unordered" is
-    //    semantically vacuous anyway: the order it would restore is the
-    //    nondeterministic completion order.)
-    std::size_t bad_successor = kNodes;    // node index of the offending farm
-    std::size_t bad_predecessor = kNodes;
-    bool in_order = true;  // is the stream still in source-seq order here?
-    [&]<std::size_t... Is>(std::index_sequence<Is...>) {
-      ((
-           [&] {
-             if constexpr (detail::is_farm_node<mid_t<Is>>) {
-               if (is_ordered<Is>()) {
-                 if (!in_order && bad_predecessor == kNodes) {
-                   bad_predecessor = Is + 1;
-                 }
-                 if (widths[Is + 2] > 1 && bad_successor == kNodes) {
-                   bad_successor = Is + 1;
-                 }
-               } else {
-                 in_order = false;
-               }
-             }
-           }(),
-       ...));
-    }(std::make_index_sequence<kMids>{});
-    if (bad_successor < kNodes) {
-      throw GraphShapeError(
-          node_label(bad_successor), 1,
-          widths[bad_successor + 1],
-          "run_process: an ordered farm must feed a serial stage or the sink "
-          "(its resequencing point needs a single consuming rank)");
+    //    producer holding the missing seq.
+    for (std::size_t j = 1; j + 1 < kNodes; ++j) {
+      if (meta_[j].ordered && meta_[j + 1].replicas > 1) {
+        throw GraphShapeError(
+            node_label(j), 1, meta_[j + 1].replicas,
+            "run_process: an ordered farm must feed a serial stage or the sink "
+            "(its resequencing point needs a single consuming rank)");
+      }
     }
-    if (bad_predecessor < kNodes) {
-      throw GraphShapeError(
-          node_label(bad_predecessor), 0, 0,
-          "run_process: an ordered farm cannot follow an unordered farm (its "
-          "input stream is no longer in sequence order)");
-    }
-  }
-
-  /// Runtime node-kind queries (for error labels): is graph node `j` a farm,
-  /// and is it ordered? Source, sink, and stages answer false.
-  [[nodiscard]] bool node_is_farm(std::size_t j) const {
-    bool farm = false;
-    [&]<std::size_t... Is>(std::index_sequence<Is...>) {
-      ((farm = farm || (Is + 1 == j && detail::is_farm_node<mid_t<Is>>)), ...);
-    }(std::make_index_sequence<kMids>{});
-    return farm;
-  }
-  [[nodiscard]] bool node_is_ordered(std::size_t j) const {
-    bool ord = false;
-    [&]<std::size_t... Is>(std::index_sequence<Is...>) {
-      ((ord = ord || (Is + 1 == j && is_ordered<Is>())), ...);
-    }(std::make_index_sequence<kMids>{});
-    return ord;
-  }
-  template <std::size_t I>
-  [[nodiscard]] bool is_ordered() const {
-    if constexpr (detail::is_farm_node<mid_t<I>>) {
-      return std::get<I>(mids_).ordered;
-    } else {
-      return false;
-    }
+    validate_farm_order(meta_, "run_process");
   }
 
   /// Is there an ordered farm strictly after mid `i`? (Its resequencer
   /// would need the seq numbering still contiguous at this point.)
   [[nodiscard]] bool ordered_farm_after(std::size_t i) const {
-    bool found = false;
-    [&]<std::size_t... Is>(std::index_sequence<Is...>) {
-      ((found = found || (Is > i && is_ordered<Is>())), ...);
-    }(std::make_index_sequence<kMids>{});
-    return found;
+    return std::any_of(meta_.begin() + static_cast<std::ptrdiff_t>(i + 2),
+                       meta_.end(), [](const NodeMeta& m) { return m.ordered; });
   }
 
   // ------------------------------------------------- sequential driver --
@@ -1265,13 +1249,9 @@ class Plan {
                                            const std::vector<int>& widths,
                                            const std::vector<int>& base,
                                            int tag_base) {
-    bool resequence = false;
-    if constexpr (E >= 1) {
-      resequence = is_ordered<E - 1>();
-    }
     return detail::EdgeReceiver<Item>(p, tag_base + 2 * static_cast<int>(E),
                                       tag_base + 2 * static_cast<int>(E) + 1,
-                                      node_ranks(widths, base, E), resequence);
+                                      node_ranks(widths, base, E), meta_[E].ordered);
   }
 
   template <std::size_t J>
@@ -1367,6 +1347,7 @@ class Plan {
   SourceNode<SrcF> src_;
   MidTuple mids_;
   SinkNode<SinkF> sink_;
+  std::vector<NodeMeta> meta_;
 };
 
 // -------------------------------------------------------- composition ----

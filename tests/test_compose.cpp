@@ -3,19 +3,24 @@
 // backed) including hosted SPMD stages at np in {1,2,4,8}, ordered and
 // unordered farms hosting engine jobs, shape rejection with typed
 // GraphShapeError at graph-build time, graph-anchored deadline plumbing
-// (JobOptions::anchor), and failure isolation — a failing hosted job fails
-// only its graph run, never the scheduler serving it.
+// (JobOptions::anchor), failure isolation — a failing hosted job fails
+// only its graph run, never the scheduler serving it — and seeded property
+// tests of the combinator laws on every driver.
 //
-// PPA_COMPOSE_SMOKE=1 (the TSan CI leg) shrinks the battery: np in {1,2}
-// and fewer stream items, same assertions.
+// PPA_COMPOSE_SMOKE=1 (the TSan CI leg) shrinks the battery: np in {1,2},
+// fewer stream items and fewer law cases, same assertions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <complex>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -105,6 +110,43 @@ TEST(Compose, NodeMetadataAndLabels) {
   EXPECT_EQ(g.node_label(2), "hosted#2 (np=4)");
   EXPECT_EQ(g.node_label(3), "hosted-farm#3 (unordered, np=2)");
   EXPECT_EQ(g.node_label(4), "sink");
+
+  // Ordered farms, plain and hosted.
+  auto ordered_graph =
+      counting_source(1) |
+      compose::farm(2, [] { return [](long v) { return v; }; }, compose::ordered) |
+      compose::engine_farm(2, 3, [](mpl::Process&, const long& v) { return v; },
+                           compose::ordered) |
+      compose::sink([](long) {});
+  EXPECT_EQ(ordered_graph.node_label(1), "farm#1 (ordered)");
+  EXPECT_EQ(ordered_graph.node_label(2), "hosted-farm#2 (ordered, np=3)");
+  EXPECT_EQ(ordered_graph.hosted_width(), 3);
+
+  // The degenerate graph: two nodes, nothing hosted.
+  auto degenerate = counting_source(1) | compose::sink([](long) {});
+  EXPECT_EQ(degenerate.node_meta().size(), 2u);
+  EXPECT_EQ(degenerate.hosted_width(), 0);
+  EXPECT_EQ(degenerate.node_label(0), "source");
+  EXPECT_EQ(degenerate.node_label(1), "sink");
+
+  // An ordered hosted farm after an unordered farm is rejected at graph
+  // build, under its hosted label.
+  int caught = 0;
+  try {
+    auto bad = counting_source(1) |
+               compose::farm(2, [] { return [](long v) { return v; }; },
+                             compose::unordered) |
+               compose::engine_farm(2, 2, [](mpl::Process&, const long& v) { return v; },
+                                    compose::ordered) |
+               compose::sink([](long) {});
+    (void)bad;
+  } catch (const GraphShapeError& e) {
+    ++caught;
+    EXPECT_EQ(e.node(), "hosted-farm#2 (ordered, np=2)");
+    EXPECT_EQ(e.required(), 0);
+    EXPECT_EQ(e.available(), 0);
+  }
+  EXPECT_EQ(caught, 1);
 }
 
 // --------------------------------------------------- hosted-stage drivers --
@@ -433,6 +475,271 @@ TEST(Compose, GraphDeadlineIsSharedAcrossHostedJobs) {
   EXPECT_THROW((void)g.run_scheduler(*sched, compose::Config{},
                                      mpl::Priority::kNormal, options),
                mpl::JobDeadlineExceeded);
+}
+
+
+// ------------------------------------------------------ composition laws --
+//
+// Seeded property tests for the combinator algebra ("Arrows for Parallel
+// Computation", PAPERS.md): farm(1, f) == stage(f), an ordered farm of any
+// width == its stage, stage(f) | stage(g) == stage(g . f), and an identity
+// stage is neutral. One seed draws a chain of filtering affine stages and
+// farms (widths 1-4), its stream, its queue/batch sizes and the idle ranks
+// run_process gets. Both sides of a law run on run_sequential, run_threaded,
+// run_process and the compose graph's run_scheduler, and every output must
+// equal the plain fold of the chain's functions bit for bit. A failure names
+// its law and seed.
+
+using LawFn = std::function<std::optional<double>(double)>;
+
+/// A farm's worker factory: one named type for ordered and unordered farms,
+/// so a chain's C++ type depends only on which of its nodes are farms.
+struct LawWorkers {
+  LawFn fn;
+  LawFn operator()() const { return fn; }
+};
+
+struct LawNode {
+  bool farm = false;
+  int width = 1;
+  bool ordered = true;
+  LawFn fn;
+};
+using LawChain = std::vector<LawNode>;
+
+/// The longest chain a law builds. Every chain shape is its own C++ type,
+/// so this bounds the instantiations (2^(n+1) - 1 of them) and the compile.
+constexpr std::size_t kLawMaxNodes = 3;
+
+struct LawCase {
+  std::uint64_t seed = 0;
+  LawChain chain;
+  std::shared_ptr<const std::vector<double>> items;
+  compose::Config cfg;
+  int idle_ranks = 0;
+};
+
+/// v -> a*v + b, dropping results whose floor is a multiple of `drop`.
+LawFn draw_law_fn(std::mt19937_64& rng) {
+  const double a = std::uniform_real_distribution<double>(-2.0, 2.0)(rng);
+  const double b = std::uniform_real_distribution<double>(-8.0, 8.0)(rng);
+  const long drop = std::uniform_int_distribution<int>(0, 2)(rng) == 0
+                        ? std::uniform_int_distribution<long>(3, 7)(rng)
+                        : 0;
+  return [a, b, drop](double v) -> std::optional<double> {
+    const double r = a * v + b;
+    if (drop > 0 && static_cast<long>(std::floor(r)) % drop == 0) return std::nullopt;
+    return r;
+  };
+}
+
+/// A chain that every driver accepts: farms wider than one are ordered, an
+/// unordered farm has no ordered farm downstream, and a farm right after an
+/// ordered farm has one replica (run_process's shape contract).
+LawCase draw_law_case(std::uint64_t seed, std::size_t max_nodes) {
+  std::mt19937_64 rng(seed);
+  LawCase c;
+  c.seed = seed;
+  const std::size_t nodes = std::uniform_int_distribution<std::size_t>(1, max_nodes)(rng);
+  for (std::size_t k = 0; k < nodes; ++k) {
+    LawNode n;
+    n.farm = std::uniform_int_distribution<int>(0, 1)(rng) == 1;
+    if (n.farm) {
+      n.width = std::uniform_int_distribution<int>(1, 4)(rng);
+      n.ordered = n.width > 1 || std::uniform_int_distribution<int>(0, 1)(rng) == 1;
+    }
+    n.fn = draw_law_fn(rng);
+    c.chain.push_back(std::move(n));
+  }
+  bool ordered_downstream = false;
+  for (std::size_t k = nodes; k-- > 0;) {
+    LawNode& n = c.chain[k];
+    if (!n.farm) continue;
+    if (ordered_downstream) n.ordered = true;
+    ordered_downstream = ordered_downstream || n.ordered;
+    if (k > 0 && c.chain[k - 1].farm) n.width = 1;
+  }
+  std::vector<double> items(std::uniform_int_distribution<std::size_t>(0, 120)(rng));
+  for (auto& v : items) v = std::uniform_real_distribution<double>(-100.0, 100.0)(rng);
+  c.items = std::make_shared<const std::vector<double>>(std::move(items));
+  c.cfg.queue_capacity = std::uniform_int_distribution<std::size_t>(1, 64)(rng);
+  c.cfg.batch = std::uniform_int_distribution<std::size_t>(1, 16)(rng);
+  c.idle_ranks = std::uniform_int_distribution<int>(0, 2)(rng);
+  return c;
+}
+
+std::string describe(const LawChain& chain) {
+  std::string s = "source";
+  for (const auto& n : chain) {
+    s += n.farm ? " | farm(" + std::to_string(n.width) +
+                      (n.ordered ? ", ordered)" : ", unordered)")
+                : std::string(" | stage");
+  }
+  return s + " | sink";
+}
+
+/// The chain's meaning: its functions folded over the stream.
+std::vector<double> law_oracle(const LawCase& c) {
+  std::vector<double> out;
+  for (double v : *c.items) {
+    std::optional<double> r = v;
+    for (const auto& n : c.chain) {
+      if (r) r = n.fn(*r);
+    }
+    if (r) out.push_back(*r);
+  }
+  return out;
+}
+
+/// Every farm replaced by the stage it replicates.
+LawChain as_stages(LawChain chain) {
+  for (auto& n : chain) n.farm = false;
+  return chain;
+}
+
+/// One stage computing the whole chain.
+LawChain fused(const LawChain& chain) {
+  LawNode n;
+  n.fn = [chain](double v) -> std::optional<double> {
+    std::optional<double> r = v;
+    for (const auto& m : chain) {
+      if (r) r = m.fn(*r);
+    }
+    return r;
+  };
+  return {n};
+}
+
+constexpr const char* kLawDrivers[] = {"run_sequential", "run_threaded", "run_process",
+                                       "run_scheduler"};
+
+/// Outputs of `pipe | sink` on the four drivers, in kLawDrivers order.
+template <typename Pipe>
+std::vector<std::vector<double>> run_every_driver(const Pipe& pipe, const LawCase& c,
+                                                  mpl::Scheduler& sched) {
+  std::vector<std::vector<double>> outs(4);
+  const auto into = [](std::vector<double>& out) {
+    return [&out](double v) { out.push_back(v); };
+  };
+  (pipe | pipeline::sink(into(outs[0]))).run_sequential();
+  (void)(pipe | pipeline::sink(into(outs[1]))).run_threaded(c.cfg);
+  const int required = (pipe | pipeline::sink([](double) {})).ranks_required();
+  auto per_rank = mpl::spmd_collect<std::vector<double>>(
+      required + c.idle_ranks, [&](mpl::Process& p) {
+        std::vector<double> out;
+        (pipe | pipeline::sink(into(out))).run_process(p, c.cfg);
+        return out;
+      });
+  outs[2] = std::move(per_rank[static_cast<std::size_t>(required - 1)]);
+  (void)(pipe | compose::sink(into(outs[3]))).run_scheduler(sched, c.cfg);
+  return outs;
+}
+
+/// Append chain[i..] to `pipe`, then hand the open pipe to `done`.
+template <std::size_t Left, typename Pipe, typename Done>
+void build_chain(const Pipe& pipe, const LawChain& chain, std::size_t i, Done& done) {
+  if (i == chain.size()) {
+    done(pipe);
+  } else if constexpr (Left > 0) {
+    const LawNode& n = chain[i];
+    if (!n.farm) {
+      build_chain<Left - 1>(pipe | pipeline::stage(n.fn), chain, i + 1, done);
+    } else if (n.ordered) {
+      build_chain<Left - 1>(
+          pipe | pipeline::farm(n.width, LawWorkers{n.fn}, pipeline::ordered), chain,
+          i + 1, done);
+    } else {
+      build_chain<Left - 1>(
+          pipe | pipeline::farm(n.width, LawWorkers{n.fn}, pipeline::unordered), chain,
+          i + 1, done);
+    }
+  } else {
+    ADD_FAILURE() << "law chain longer than " << kLawMaxNodes << " nodes";
+  }
+}
+
+/// Run `chain` (one side of a law for case `c`) on every driver and compare
+/// each output with the meaning of c's drawn chain.
+void expect_law_side(const LawCase& c, const LawChain& chain, const char* side,
+                     mpl::Scheduler& sched) {
+  const auto want = law_oracle(c);
+  const auto source = pipeline::source(
+      [items = c.items, next = std::size_t{0}]() mutable -> std::optional<double> {
+        if (next >= items->size()) return std::nullopt;
+        return (*items)[next++];
+      });
+  auto check = [&](const auto& pipe) {
+    const auto outs = run_every_driver(pipe, c, sched);
+    for (std::size_t d = 0; d < outs.size(); ++d) {
+      EXPECT_EQ(outs[d], want) << side << " " << describe(chain) << " on " << kLawDrivers[d];
+    }
+  };
+  build_chain<kLawMaxNodes>(source, chain, 0, check);
+}
+
+std::size_t law_cases() { return smoke_mode() ? 4 : 32; }
+
+/// Check `lhs(c) == rhs(c)` over law_cases() seeded cases `c` whose drawn
+/// chains have up to `max_nodes` nodes.
+template <typename Lhs, typename Rhs>
+void check_law(const char* law, std::uint64_t base_seed, std::size_t max_nodes,
+               const Lhs& lhs, const Rhs& rhs) {
+  auto sched = make_scheduler(2);
+  for (std::size_t k = 0; k < law_cases(); ++k) {
+    const LawCase c = draw_law_case(base_seed + k, max_nodes);
+    SCOPED_TRACE(std::string(law) + ", seed " + std::to_string(c.seed) +
+                 ", queue " + std::to_string(c.cfg.queue_capacity) + ", batch " +
+                 std::to_string(c.cfg.batch) + ", idle ranks " +
+                 std::to_string(c.idle_ranks));
+    expect_law_side(c, lhs(c), "lhs", *sched);
+    expect_law_side(c, rhs(c), "rhs", *sched);
+  }
+}
+
+TEST(ComposeLaws, FarmOfWidthOneIsItsStage) {
+  check_law(
+      "farm(1, f) == stage(f)", 0x1a'0000, kLawMaxNodes,
+      [](const LawCase& c) {
+        LawChain chain = c.chain;
+        for (auto& n : chain) n.width = 1;
+        return chain;
+      },
+      [](const LawCase& c) { return as_stages(c.chain); });
+}
+
+TEST(ComposeLaws, OrderedFarmOfAnyWidthIsItsStage) {
+  check_law(
+      "ordered farm(w, f) == stage(f)", 0x1b'0000, kLawMaxNodes,
+      [](const LawCase& c) {
+        LawChain chain = c.chain;
+        for (auto& n : chain) {
+          if (n.farm) n.ordered = true;
+        }
+        return chain;
+      },
+      [](const LawCase& c) { return as_stages(c.chain); });
+}
+
+TEST(ComposeLaws, StagesFuse) {
+  check_law(
+      "stage(f) | stage(g) == stage(g . f)", 0x1c'0000, kLawMaxNodes,
+      [](const LawCase& c) { return as_stages(c.chain); },
+      [](const LawCase& c) { return fused(c.chain); });
+}
+
+TEST(ComposeLaws, IdentityStageIsNeutral) {
+  check_law(
+      "stage(id) is neutral", 0x1d'0000, kLawMaxNodes - 1,
+      [](const LawCase& c) { return c.chain; },
+      [](const LawCase& c) {
+        LawChain chain = c.chain;
+        std::mt19937_64 rng(c.seed);
+        const auto at = std::uniform_int_distribution<std::size_t>(0, chain.size())(rng);
+        chain.insert(chain.begin() + static_cast<std::ptrdiff_t>(at),
+                     LawNode{false, 1, true,
+                             [](double v) -> std::optional<double> { return v; }});
+        return chain;
+      });
 }
 
 }  // namespace

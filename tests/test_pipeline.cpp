@@ -326,6 +326,21 @@ TEST(Pipeline, NodeWidthMetadataIsExposed) {
   EXPECT_EQ(plan.node_label(1), "stage#1");
   EXPECT_EQ(plan.node_label(2), "farm#2 (unordered)");
   EXPECT_EQ(plan.node_label(3), "sink");
+
+  auto ordered_plan = counting_source(10) |
+                      pipeline::farm(2, [] { return [](long v) { return v; }; },
+                                     pipeline::ordered) |
+                      pipeline::sink([&total](long v) { total += v; });
+  EXPECT_EQ(ordered_plan.node_widths(), (std::vector<int>{1, 2, 1}));
+  EXPECT_EQ(ordered_plan.node_label(1), "farm#1 (ordered)");
+
+  // The degenerate plan: source straight into sink.
+  auto degenerate = counting_source(10) | pipeline::sink([&total](long v) { total += v; });
+  EXPECT_EQ(degenerate.node_widths(), (std::vector<int>{1, 1}));
+  EXPECT_EQ(degenerate.node_count(), 2u);
+  EXPECT_EQ(degenerate.ranks_required(), 2);
+  EXPECT_EQ(degenerate.node_label(0), "source");
+  EXPECT_EQ(degenerate.node_label(1), "sink");
 }
 
 TEST(Pipeline, FarmIntoFarmDoesNotDeadlockUnderTinyQueues) {
