@@ -2,7 +2,8 @@
 // costs that calibrate the performance model's elem_op-derived constants:
 // sorting, k-way merge, FFT butterflies, stencil sweeps, skyline merge)
 // plus mailbox-level primitives (push/pop throughput, multi-sender
-// contention, wildcard receive). Self-contained harness; emits JSON to
+// contention, wildcard receive) and two-rank SPMD rounds that send both
+// ways at once (exchange, allreduce). Self-contained harness; emits JSON to
 // BENCH_micro_substrate.json.
 #include <complex>
 #include <span>
@@ -14,6 +15,7 @@
 #include "algorithms/sorting.hpp"
 #include "microbench.hpp"
 #include "mpl/mailbox.hpp"
+#include "mpl/spmd.hpp"
 #include "support/ndarray.hpp"
 #include "support/rng.hpp"
 
@@ -185,6 +187,36 @@ void bench_mailbox_wildcard(Reporter& rep) {
   rep.add(std::move(r));
 }
 
+/// Two ranks that send at the same time, as a halo exchange or an allreduce
+/// does: each round both ranks send one double and then receive the other's
+/// (`exchange_np2`), or both enter one allreduce (`allreduce_np2`). Unlike a
+/// ping-pong, both ranks count into the job's trace and hand off through
+/// their mailboxes at once, so state the ranks share shows up here.
+void bench_spmd_np2(Reporter& rep) {
+  using namespace ppa::mpl;
+  const int rounds = microbench::smoke_mode() ? 5000 : 50000;
+  const auto run = [&](const char* name, auto round) {
+    const double sec = time_best_of(5, [&] {
+      spmd_run(2, [&](Process& p) {
+        for (int i = 0; i < rounds; ++i) round(p, i);
+      });
+    });
+    Result r{name, {}};
+    r.set("p", 2);
+    r.set("seconds_per_op", sec / rounds);
+    r.set("items_per_s", rounds / sec);
+    rep.add(std::move(r));
+  };
+  run("exchange_np2", [](Process& p, int i) {
+    const int peer = 1 - p.rank();
+    p.send_value(peer, 0, static_cast<double>(i));
+    (void)p.recv_value<double>(peer, 0);
+  });
+  run("allreduce_np2", [](Process& p, int i) {
+    (void)p.allreduce(static_cast<double>(i), SumOp{});
+  });
+}
+
 }  // namespace
 
 int main() {
@@ -192,6 +224,7 @@ int main() {
   bench_mailbox_throughput(rep);
   bench_mailbox_contention(rep);
   bench_mailbox_wildcard(rep);
+  bench_spmd_np2(rep);
   bench_sorts(rep);
   bench_kway_merge(rep);
   bench_fft(rep);

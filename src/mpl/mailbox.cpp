@@ -104,8 +104,12 @@ void Mailbox::push(Envelope env) {
     const std::scoped_lock lock(lane.mutex);
     env.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
     lane.queue.push_back(std::move(env));
-    lane.pushes.fetch_add(1, std::memory_order_release);
   }
+  // Publish to spinning receivers only after the unlock: a bump inside the
+  // critical section lets a spinner see it while the lock is still held and
+  // block on the mutex (a futex sleep/wake). Parked receivers rely on the
+  // enqueue under the lock and the notify below, not on this counter.
+  lane.pushes.fetch_add(1, std::memory_order_release);
   // Targeted wake: only a receiver parked on this lane is disturbed. (At
   // most one thread — the mailbox owner — ever waits on a lane in the SPMD
   // runtime, so notify_all costs the same as notify_one and is robust to

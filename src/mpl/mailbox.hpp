@@ -66,7 +66,9 @@ class Mailbox {
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
 
-  /// Enqueue a message (called by the *sender's* thread). Never blocks.
+  /// Enqueue a message (called by the *sender's* thread). Never blocks. The
+  /// envelope is stamped and queued under the lane lock; spinning receivers
+  /// are told after the unlock, parked ones by the notify that follows.
   void push(Envelope env);
 
   /// Block until a message matching (source, tag) is available and return it.
@@ -108,9 +110,10 @@ class Mailbox {
 
  private:
   /// One sender rank's FIFO queue with its own mutex and wakeup channel.
-  /// `pushes` counts arrivals monotonically; a receiver spins briefly on it
-  /// (no lock) before parking on the condvar, which removes the futex
-  /// round-trip from tight request/reply exchanges.
+  /// `pushes` counts arrivals monotonically and is bumped after the push
+  /// releases `mutex`; a receiver spins briefly on it (no lock) before
+  /// parking on the condvar, which removes the futex round-trip from tight
+  /// request/reply exchanges.
   struct Lane {
     std::mutex mutex;
     std::condition_variable cv;

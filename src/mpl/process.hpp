@@ -189,7 +189,7 @@ class Process {
   template <Wire T>
   std::size_t recv_into(int source, int tag, std::span<T> out) {
     const Envelope env = recv_envelope(source, tag);
-    trace().count_copy(env.payload.size());
+    trace().count_copy(rank_, env.payload.size());
     return unpack_into<T>(env.payload, out);
   }
   /// Receive borrowing the payload buffer (zero copies); the returned
@@ -211,7 +211,7 @@ class Process {
 
   /// Barrier synchronization across all ranks of this job.
   void barrier() {
-    trace().count_op(Op::kBarrier);
+    trace().count_op(rank_, Op::kBarrier);
     // Fault sites key on the *physical* rank: each physical rank belongs to
     // one job at a time, so its per-(site, rank) op-counter stream stays
     // deterministic even when concurrent jobs interleave arbitrarily.
@@ -229,7 +229,7 @@ class Process {
   /// so total physical copies are O(p · n) instead of O(p · n · depth).
   template <Wire T>
   void broadcast(std::vector<T>& data, int root = 0) {
-    trace().count_op(Op::kBroadcast);
+    trace().count_op(rank_, Op::kBroadcast);
     collective_entry();
     const int tag = next_internal_tag();
     broadcast_impl(data, root, tag);
@@ -247,7 +247,7 @@ class Process {
   /// receive an empty result.
   template <Wire T>
   std::vector<std::vector<T>> gather_parts(std::span<const T> local, int root = 0) {
-    trace().count_op(Op::kGather);
+    trace().count_op(rank_, Op::kGather);
     collective_entry();
     const int tag = next_internal_tag();
     return gather_parts_impl(local, root, tag);
@@ -266,7 +266,7 @@ class Process {
   /// separate size exchange is needed.
   template <Wire T>
   std::vector<std::vector<T>> allgather_parts(std::span<const T> local) {
-    trace().count_op(Op::kAllgather);
+    trace().count_op(rank_, Op::kAllgather);
     collective_entry();
     const int tag = next_internal_tag();
     auto blocks = ((size() & (size() - 1)) == 0)
@@ -275,7 +275,7 @@ class Process {
     std::vector<std::vector<T>> out;
     out.reserve(blocks.size());
     for (auto& b : blocks) {
-      trace().count_copy(b.size());
+      trace().count_copy(rank_, b.size());
       out.push_back(unpack<T>(std::span<const std::byte>(b)));
     }
     return out;
@@ -295,7 +295,7 @@ class Process {
   /// O(log p) subtree bundles instead of p-1 individual messages.
   template <Wire T>
   std::vector<T> scatter(const std::vector<std::vector<T>>& parts, int root = 0) {
-    trace().count_op(Op::kScatter);
+    trace().count_op(rank_, Op::kScatter);
     collective_entry();
     const int tag = next_internal_tag();
     return scatter_impl(parts, root, tag);
@@ -305,7 +305,7 @@ class Process {
   /// combination order is deterministic for a given world size.
   template <Wire T, typename BinaryOp>
   T reduce(const T& local, BinaryOp op, int root = 0) {
-    trace().count_op(Op::kReduce);
+    trace().count_op(rank_, Op::kReduce);
     collective_entry();
     const int tag = next_internal_tag();
     return reduce_impl(local, op, root, tag);
@@ -315,7 +315,7 @@ class Process {
   /// doubling (the paper's Fig 9); otherwise reduce-to-root plus broadcast.
   template <Wire T, typename BinaryOp>
   T allreduce(const T& local, BinaryOp op) {
-    trace().count_op(Op::kAllreduce);
+    trace().count_op(rank_, Op::kAllreduce);
     collective_entry();
     const int p = size();
     if ((p & (p - 1)) == 0) {
@@ -344,7 +344,7 @@ class Process {
   /// Both association orders are deterministic for a given world size.
   template <Wire T, typename BinaryOp>
   std::vector<T> allreduce_vec(std::span<const T> local, BinaryOp op) {
-    trace().count_op(Op::kAllreduce);
+    trace().count_op(rank_, Op::kAllreduce);
     collective_entry();
     const int p = size();
     if (p == 1) return {local.begin(), local.end()};
@@ -367,7 +367,7 @@ class Process {
   /// as payloads — no serialization copy.
   template <Wire T>
   std::vector<std::vector<T>> alltoall(std::vector<std::vector<T>> parts) {
-    trace().count_op(Op::kAlltoall);
+    trace().count_op(rank_, Op::kAlltoall);
     collective_entry();
     assert(static_cast<int>(parts.size()) == size());
     const int tag = next_internal_tag();
@@ -390,7 +390,7 @@ class Process {
   /// receives op(init, local_0, ..., local_{r-1}).
   template <Wire T, typename BinaryOp>
   T exscan(const T& local, BinaryOp op, const T& init = T{}) {
-    trace().count_op(Op::kScan);
+    trace().count_op(rank_, Op::kScan);
     collective_entry();
     const int tag = next_internal_tag();
     T acc = init;
@@ -430,13 +430,13 @@ class Process {
   /// Serialize with physical-copy accounting.
   template <Wire T>
   Payload pack_traced(std::span<const T> data) {
-    trace().count_copy(data.size_bytes());
+    trace().count_copy(rank_, data.size_bytes());
     return pack_payload(data);
   }
   /// Deserialize with physical-copy accounting.
   template <Wire T>
   std::vector<T> unpack_traced(const Payload& payload) {
-    trace().count_copy(payload.size());
+    trace().count_copy(rank_, payload.size());
     return unpack<T>(payload);
   }
 
@@ -607,7 +607,7 @@ class Process {
       const auto mine = segment(recv_seg);
       assert(view.size() == mine.size());
       std::memcpy(mine.data(), view.data(), view.size() * sizeof(T));
-      trace().count_copy(view.size() * sizeof(T));
+      trace().count_copy(rank_, view.size() * sizeof(T));
     }
     return acc;
   }
@@ -661,12 +661,12 @@ class Process {
         append_record(bundle, static_cast<std::uint64_t>(r),
                       blocks[static_cast<std::size_t>(r)]);
       }
-      trace().count_copy(bundle.size());
+      trace().count_copy(rank_, bundle.size());
       send_raw(partner, tag, Payload::adopt(std::move(bundle)));
       const Envelope env = recv_envelope(partner, tag);
       for (const auto& block : parse_bundle(env.payload.bytes())) {
         const auto r = static_cast<std::size_t>(block.origin);
-        trace().count_copy(block.bytes.size());
+        trace().count_copy(rank_, block.bytes.size());
         blocks[r].assign(block.bytes.begin(), block.bytes.end());
         held.push_back(static_cast<int>(r));
       }
@@ -688,12 +688,12 @@ class Process {
       std::vector<std::byte> bundle;
       append_record(bundle, static_cast<std::uint64_t>(send_origin),
                     blocks[static_cast<std::size_t>(send_origin)]);
-      trace().count_copy(bundle.size());
+      trace().count_copy(rank_, bundle.size());
       send_raw(right, tag, Payload::adopt(std::move(bundle)));
       const Envelope env = recv_envelope(left, tag);
       for (const auto& block : parse_bundle(env.payload.bytes())) {
         const auto r = static_cast<std::size_t>(block.origin);
-        trace().count_copy(block.bytes.size());
+        trace().count_copy(rank_, block.bytes.size());
         blocks[r].assign(block.bytes.begin(), block.bytes.end());
       }
     }
@@ -724,7 +724,7 @@ class Process {
       subtree.resize(static_cast<std::size_t>(p));
       for (int v = 1; v < p; ++v) {
         const auto dest = static_cast<std::size_t>((v + root) % p);
-        trace().count_copy(parts[dest].size() * sizeof(T));
+        trace().count_copy(rank_, parts[dest].size() * sizeof(T));
         subtree[static_cast<std::size_t>(v)] =
             pack(std::span<const T>(parts[dest]));
       }
@@ -738,7 +738,7 @@ class Process {
         const auto v = static_cast<int>(block.origin);
         assert(v >= vrank && v < vrank + static_cast<int>(subtree.size()));
         if (v == vrank) {
-          trace().count_copy(block.bytes.size());
+          trace().count_copy(rank_, block.bytes.size());
           mine = unpack<T>(block.bytes);
         } else {
           subtree[static_cast<std::size_t>(v - vrank)].assign(block.bytes.begin(),
@@ -757,7 +757,7 @@ class Process {
                       subtree[static_cast<std::size_t>(v - vrank)]);
         subtree[static_cast<std::size_t>(v - vrank)].clear();
       }
-      trace().count_copy(bundle.size());
+      trace().count_copy(rank_, bundle.size());
       send_raw((child + root) % p, tag, Payload::adopt(std::move(bundle)));
     }
     return mine;

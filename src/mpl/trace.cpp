@@ -23,32 +23,35 @@ std::string op_name(Op op) {
 }
 
 CommTrace::CommTrace(int nranks)
-    : sent_by_rank_(nranks > 0 ? static_cast<std::size_t>(nranks) : 0) {}
+    : nranks_(nranks > 0 ? static_cast<std::size_t>(nranks) : 0),
+      shards_(nranks_ + 1) {}
 
 void CommTrace::reset() {
-  messages_.store(0, std::memory_order_relaxed);
-  bytes_.store(0, std::memory_order_relaxed);
-  copies_.store(0, std::memory_order_relaxed);
-  copied_bytes_.store(0, std::memory_order_relaxed);
-  for (auto& c : ops_) c.store(0, std::memory_order_relaxed);
-  for (auto& c : sent_by_rank_) c.store(0, std::memory_order_relaxed);
+  for (auto& s : shards_) {
+    s.messages.store(0, std::memory_order_relaxed);
+    s.bytes.store(0, std::memory_order_relaxed);
+    s.copies.store(0, std::memory_order_relaxed);
+    s.copied_bytes.store(0, std::memory_order_relaxed);
+    for (auto& c : s.ops) c.store(0, std::memory_order_relaxed);
+  }
 }
 
 TraceSnapshot CommTrace::snapshot() const {
-  TraceSnapshot s;
-  s.messages = messages_.load(std::memory_order_relaxed);
-  s.bytes = bytes_.load(std::memory_order_relaxed);
-  s.copies = copies_.load(std::memory_order_relaxed);
-  s.copied_bytes = copied_bytes_.load(std::memory_order_relaxed);
-  for (int i = 0; i < kOpCount; ++i) {
-    s.ops[static_cast<std::size_t>(i)] =
-        ops_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
+  TraceSnapshot out;
+  out.sent_bytes_by_rank.reserve(nranks_);
+  for (std::size_t r = 0; r < shards_.size(); ++r) {
+    const Shard& s = shards_[r];
+    const auto bytes = s.bytes.load(std::memory_order_relaxed);
+    out.messages += s.messages.load(std::memory_order_relaxed);
+    out.bytes += bytes;
+    out.copies += s.copies.load(std::memory_order_relaxed);
+    out.copied_bytes += s.copied_bytes.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < s.ops.size(); ++i) {
+      out.ops[i] += s.ops[i].load(std::memory_order_relaxed);
+    }
+    if (r < nranks_) out.sent_bytes_by_rank.push_back(bytes);
   }
-  s.sent_bytes_by_rank.reserve(sent_by_rank_.size());
-  for (const auto& c : sent_by_rank_) {
-    s.sent_bytes_by_rank.push_back(c.load(std::memory_order_relaxed));
-  }
-  return s;
+  return out;
 }
 
 std::uint64_t TraceSnapshot::max_sent_by_any_rank() const {

@@ -15,10 +15,12 @@
 // root-bottlenecked collective shows up as one rank sending O(p · n) while
 // the others send nothing.
 //
-// Thread-safety: CommTrace is shared by all ranks of a World; every counter
-// is a relaxed atomic, so count_* calls are thread-safe, wait-free and
-// never block. snapshot() is a non-atomic read of the counters (exact once
-// the ranks have joined); TraceSnapshot is an immutable value type.
+// Thread-safety: each rank counts into its own cache-line-aligned shard
+// (plus one overflow shard for ranks outside the trace's size, so a
+// default-constructed trace still counts), so ranks sending at once never
+// write a shared line. count_* calls are thread-safe, wait-free and never
+// block. snapshot() sums the shards with relaxed loads: exact once the
+// ranks have joined. TraceSnapshot is an immutable value type.
 #pragma once
 
 #include <array>
@@ -69,38 +71,47 @@ struct TraceSnapshot {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Thread-safe counters shared by all ranks of a World. Constructing with a
-/// world size enables per-sender byte accounting.
+/// Thread-safe counters for the ranks of a World, one shard per rank.
+/// Constructing with a world size enables per-sender byte accounting.
 class CommTrace {
  public:
-  CommTrace() = default;
-  explicit CommTrace(int nranks);
+  explicit CommTrace(int nranks = 0);
 
   void count_message(int source, std::uint64_t payload_bytes) {
-    messages_.fetch_add(1, std::memory_order_relaxed);
-    bytes_.fetch_add(payload_bytes, std::memory_order_relaxed);
-    if (source >= 0 && static_cast<std::size_t>(source) < sent_by_rank_.size()) {
-      sent_by_rank_[static_cast<std::size_t>(source)].fetch_add(
-          payload_bytes, std::memory_order_relaxed);
-    }
+    Shard& s = shard(source);
+    s.messages.fetch_add(1, std::memory_order_relaxed);
+    s.bytes.fetch_add(payload_bytes, std::memory_order_relaxed);
   }
-  void count_copy(std::uint64_t copied) {
-    copies_.fetch_add(1, std::memory_order_relaxed);
-    copied_bytes_.fetch_add(copied, std::memory_order_relaxed);
+  void count_copy(int rank, std::uint64_t copied) {
+    Shard& s = shard(rank);
+    s.copies.fetch_add(1, std::memory_order_relaxed);
+    s.copied_bytes.fetch_add(copied, std::memory_order_relaxed);
   }
-  void count_op(Op op) {
-    ops_[static_cast<std::size_t>(op)].fetch_add(1, std::memory_order_relaxed);
+  void count_op(int rank, Op op) {
+    shard(rank).ops[static_cast<std::size_t>(op)].fetch_add(
+        1, std::memory_order_relaxed);
   }
   void reset();
   [[nodiscard]] TraceSnapshot snapshot() const;
 
  private:
-  std::atomic<std::uint64_t> messages_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> copies_{0};
-  std::atomic<std::uint64_t> copied_bytes_{0};
-  std::array<std::atomic<std::uint64_t>, kOpCount> ops_{};
-  std::vector<std::atomic<std::uint64_t>> sent_by_rank_;
+  /// One rank's counters; a shard's `bytes` is that rank's sent bytes.
+  struct alignas(64) Shard {
+    std::atomic<std::uint64_t> messages{0};
+    std::atomic<std::uint64_t> bytes{0};
+    std::atomic<std::uint64_t> copies{0};
+    std::atomic<std::uint64_t> copied_bytes{0};
+    std::array<std::atomic<std::uint64_t>, kOpCount> ops{};
+  };
+
+  /// The rank's shard; negative and out-of-range ranks share the last one.
+  Shard& shard(int rank) noexcept {
+    const auto i = static_cast<std::size_t>(rank);
+    return shards_[i < nranks_ ? i : nranks_];
+  }
+
+  std::size_t nranks_;
+  std::vector<Shard> shards_;  ///< nranks_ rank shards, then the overflow
 };
 
 }  // namespace ppa::mpl

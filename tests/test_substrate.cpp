@@ -480,4 +480,117 @@ TEST(SpmdSubstrate, AbortPropagatesOutOfCollectives) {
                std::runtime_error);
 }
 
+// ----------------------------------------------------------- trace shards --
+
+// Every rank counts into its own shard and ranks outside the trace's size
+// share the overflow shard; the snapshot must sum them exactly, whatever
+// the interleaving.
+TEST(CommTraceShards, ConcurrentCountsSumExactly) {
+  constexpr int kRanks = 4;
+  constexpr int kIters = 20000;
+  CommTrace sized(kRanks);
+  CommTrace unsized;
+  // Ranks 0..3 own shards; 7 and -1 land in the overflow shard.
+  const std::vector<int> ranks{0, 1, 2, 3, 7, -1};
+  const auto bytes_of = [](int rank) {
+    return static_cast<std::uint64_t>(rank + 2);
+  };
+  {
+    std::vector<std::jthread> threads;
+    for (const int rank : ranks) {
+      threads.emplace_back([&, rank] {
+        for (int i = 0; i < kIters; ++i) {
+          for (CommTrace* t : {&sized, &unsized}) {
+            t->count_message(rank, bytes_of(rank));
+            t->count_copy(rank, 3);
+            t->count_op(rank, static_cast<Op>(i % kOpCount));
+          }
+        }
+      });
+    }
+  }
+  const auto n = static_cast<std::uint64_t>(ranks.size()) * kIters;
+  std::uint64_t all_bytes = 0;
+  for (const int rank : ranks) all_bytes += bytes_of(rank) * kIters;
+  for (const CommTrace* t : {&sized, &unsized}) {
+    const TraceSnapshot s = t->snapshot();
+    EXPECT_EQ(s.messages, n);
+    EXPECT_EQ(s.bytes, all_bytes);
+    EXPECT_EQ(s.copies, n);
+    EXPECT_EQ(s.copied_bytes, 3 * n);
+    for (int o = 0; o < kOpCount; ++o) {
+      EXPECT_EQ(s.op(static_cast<Op>(o)), n / kOpCount) << op_name(static_cast<Op>(o));
+    }
+  }
+  const TraceSnapshot s = sized.snapshot();
+  ASSERT_EQ(s.sent_bytes_by_rank.size(), static_cast<std::size_t>(kRanks));
+  for (int r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(s.sent_bytes_by_rank[static_cast<std::size_t>(r)], bytes_of(r) * kIters);
+  }
+  EXPECT_TRUE(unsized.snapshot().sent_bytes_by_rank.empty());
+  EXPECT_TRUE(CommTrace(-3).snapshot().sent_bytes_by_rank.empty());
+
+  // reset() zeroes every shard, the overflow one included, and keeps the
+  // per-rank vector's size.
+  for (CommTrace* t : {&sized, &unsized}) {
+    t->reset();
+    const TraceSnapshot z = t->snapshot();
+    EXPECT_EQ(z.messages, 0u);
+    EXPECT_EQ(z.bytes, 0u);
+    EXPECT_EQ(z.copies, 0u);
+    EXPECT_EQ(z.copied_bytes, 0u);
+    for (const auto c : z.ops) EXPECT_EQ(c, 0u);
+    for (const auto b : z.sent_bytes_by_rank) EXPECT_EQ(b, 0u);
+  }
+  EXPECT_EQ(sized.snapshot().sent_bytes_by_rank.size(), static_cast<std::size_t>(kRanks));
+}
+
+// The Jacobi step's communication shape under real concurrency: every round
+// each rank sends one value to its right neighbour, receives its left
+// neighbour's, then enters one allreduce. Every value is checked, and the
+// job's trace must equal the closed-form counts: per rank and round, one
+// neighbour message plus log2(p) recursive-doubling messages, each 8 bytes
+// packed once and unpacked once, and one allreduce.
+TEST(CommTraceShards, ExchangePlusAllreduceRoundsCountExactly) {
+  constexpr int kRounds = 20000;
+  constexpr int kTag = 5;
+  for (const int np : {2, 4}) {
+    TraceSnapshot trace;
+    const auto bad = spmd_collect<int>(
+        np,
+        [np](Process& p) {
+          const int right = (p.rank() + 1) % np;
+          const int left = (p.rank() + np - 1) % np;
+          int mismatches = 0;
+          for (int i = 0; i < kRounds; ++i) {
+            p.send_value(right, kTag, static_cast<double>(p.rank() + np * i));
+            const double got = p.recv_value<double>(left, kTag);
+            if (got != static_cast<double>(left + np * i)) ++mismatches;
+            const double sum = p.allreduce(static_cast<double>(p.rank() + i), SumOp{});
+            if (sum != static_cast<double>(np * i + np * (np - 1) / 2)) ++mismatches;
+          }
+          return mismatches;
+        },
+        &trace);
+    EXPECT_EQ(bad, std::vector<int>(static_cast<std::size_t>(np), 0)) << "np=" << np;
+    const std::uint64_t log2p = np == 2 ? 1 : 2;
+    const std::uint64_t per_rank_msgs = kRounds * (1 + log2p);
+    const std::uint64_t msgs = per_rank_msgs * static_cast<std::uint64_t>(np);
+    EXPECT_EQ(trace.messages, msgs) << "np=" << np;
+    EXPECT_EQ(trace.bytes, msgs * sizeof(double)) << "np=" << np;
+    EXPECT_EQ(trace.copies, 2 * msgs) << "np=" << np;
+    EXPECT_EQ(trace.copied_bytes, 2 * msgs * sizeof(double)) << "np=" << np;
+    for (int o = 0; o < kOpCount; ++o) {
+      const auto op = static_cast<Op>(o);
+      const std::uint64_t want =
+          op == Op::kAllreduce ? static_cast<std::uint64_t>(kRounds) * np : 0;
+      EXPECT_EQ(trace.op(op), want) << "np=" << np << " " << op_name(op);
+    }
+    ASSERT_EQ(trace.sent_bytes_by_rank.size(), static_cast<std::size_t>(np));
+    for (const auto b : trace.sent_bytes_by_rank) {
+      EXPECT_EQ(b, per_rank_msgs * sizeof(double)) << "np=" << np;
+    }
+  }
+}
+
 }  // namespace
