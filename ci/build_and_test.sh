@@ -30,6 +30,9 @@ echo "==> examples (smoke: each must print SELF-CHECK ... ok and exit 0)"
 (cd "$BUILD_DIR" && ./stream_demo)
 (cd "$BUILD_DIR" && ./sparse_advection_demo)
 (cd "$BUILD_DIR" && ./compose_demo)
+(cd "$BUILD_DIR" && ./cfd_shock)
+(cd "$BUILD_DIR" && ./em_scattering)
+(cd "$BUILD_DIR" && ./airshed_demo)
 
 echo "==> substrate microbenchmarks (smoke)"
 (cd "$BUILD_DIR" && PPA_BENCH_SMOKE=1 ./micro_collectives)

@@ -56,8 +56,8 @@ namespace {
       });
   for_rim(interior_region(g2), core_region(g2, 1),
           [](std::ptrdiff_t, std::ptrdiff_t) {});
-  for_rim(interior_region(g3), core_region(g3, 1),
-          [](std::ptrdiff_t, std::ptrdiff_t, std::ptrdiff_t) {});
+  for_region(interior_region(g3),
+             [](std::ptrdiff_t, std::ptrdiff_t, std::ptrdiff_t) {});
 
   RowDistributed<double> rows(8, 8, 1, 0);
   ColDistributed<double> cols(8, 8, 1, 0);
@@ -139,9 +139,6 @@ namespace {
                        [](std::ptrdiff_t, std::ptrdiff_t, std::ptrdiff_t) {});
   kern::sweep_pencils(
       r3, [](std::ptrdiff_t, std::ptrdiff_t, std::ptrdiff_t, std::ptrdiff_t) {});
-  kern::sweep_rim_pencils(
-      r3, core_region(g3, 1),
-      [](std::ptrdiff_t, std::ptrdiff_t, std::ptrdiff_t, std::ptrdiff_t) {});
   auto ov = field_view(out);
   kern::jacobi_sweep(ov, cv2, cv2, 0.25, core_region(g2, 1));
   kern::jacobi_sweep_tiled(ov, cv2, cv2, 0.25, core_region(g2, 1));

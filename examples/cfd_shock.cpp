@@ -10,7 +10,11 @@
 // Runs the Mach-1.5 shock / perturbed-interface scenario on 4 SPMD
 // processes, dumping density and vorticity snapshots (PPM images + coarse
 // ASCII) at an early and a late time.
+//
+// Runs as a smoke test: prints one SELF-CHECK line and exits nonzero on
+// failure (the late density field equals a 1-process run's bit for bit).
 #include <cstdio>
+#include <cstring>
 
 #include "apps/cfd/euler2d.hpp"
 #include "support/image.hpp"
@@ -27,6 +31,7 @@ int main() {
   constexpr int kLateSteps = 450;
 
   const auto pgrid = mpl::CartGrid2D::near_square(4);
+  Array2D<double> density;  // late density on 4 processes (rank 0)
   mpl::spmd_run(4, [&](mpl::Process& p) {
     app::CfdSim sim(p, pgrid, cfg);
     sim.init_shock_interface();
@@ -43,9 +48,11 @@ int main() {
     }
 
     t += sim.run(kLateSteps - kEarlySteps);
-    auto rho_late = transpose(sim.gather_density(0));
+    auto rho = sim.gather_density(0);
+    auto rho_late = transpose(rho);
     auto vor_late = transpose(sim.gather_vorticity(0));
     if (p.rank() == 0) {
+      density = std::move(rho);
       double rlo = 1e300, rhi = -1e300, wlo = 1e300, whi = -1e300;
       for (double v : rho_late.flat()) {
         rlo = std::min(rlo, v);
@@ -70,5 +77,13 @@ int main() {
                   "      fig20_vorticity_early.ppm, fig20_vorticity_late.ppm\n");
     }
   });
-  return 0;
+
+  const auto reference = app::run_shock_interface(cfg, kLateSteps, 1);
+  const bool ok = density.rows() == reference.rows() &&
+                  density.cols() == reference.cols() &&
+                  std::memcmp(density.flat().data(), reference.flat().data(),
+                              reference.flat().size_bytes()) == 0;
+  std::printf("\nSELF-CHECK: cfd_shock %s (np=4 density %s np=1)\n",
+              ok ? "ok" : "FAILED", ok ? "==" : "!=");
+  return ok ? 0 : 1;
 }

@@ -3,7 +3,12 @@
 // The 3-D FDTD electromagnetics code (paper section 7.2): a sinusoidal
 // point source radiating past a dielectric sphere inside a PEC cavity, on
 // 8 SPMD processes (a 2x2x2 process grid). Writes the Ez midplane.
+//
+// Runs as a smoke test: prints one SELF-CHECK line and exits nonzero on
+// failure (the Ez midplane on 8 and on 4 processes equals a 1-process
+// run's bit for bit).
 #include <cstdio>
+#include <cstring>
 
 #include "apps/em/fdtd3d.hpp"
 #include "support/image.hpp"
@@ -22,6 +27,7 @@ int main() {
 
   constexpr int kSteps = 120;
   const auto pgrid = mpl::CartGrid3D::near_cubic(8);
+  Array2D<double> ez8;  // Ez midplane on 8 processes (rank 0)
   mpl::spmd_run(8, [&](mpl::Process& p) {
     app::FdtdSim sim(p, pgrid, cfg);
     sim.run(kSteps);
@@ -38,7 +44,22 @@ int main() {
                   img::ascii_field(plane, 72).c_str());
       img::write_ppm("em_ez_midplane.ppm", plane);
       std::printf("wrote em_ez_midplane.ppm\n");
+      ez8 = std::move(plane);
     }
   });
-  return 0;
+
+  const auto reference = app::run_em_scattering(cfg, kSteps, 1);
+  const auto ez4 = app::run_em_scattering(cfg, kSteps, 4);
+  const auto same = [&](const Array2D<double>& a) {
+    return a.rows() == reference.rows() && a.cols() == reference.cols() &&
+           std::memcmp(a.flat().data(), reference.flat().data(),
+                       reference.flat().size_bytes()) == 0;
+  };
+  const bool ok4 = same(ez4);
+  const bool ok8 = same(ez8);
+  const bool ok = ok4 && ok8;
+  std::printf("\nSELF-CHECK: em_scattering %s (np=4 Ez %s np=1, np=8 Ez %s "
+              "np=1)\n",
+              ok ? "ok" : "FAILED", ok4 ? "==" : "!=", ok8 ? "==" : "!=");
+  return ok ? 0 : 1;
 }

@@ -2,10 +2,9 @@
 //
 // The Jacobi Poisson solver (paper section 6): solve the unit-square
 // problem with a heated-patch right-hand side on 4 SPMD processes, report
-// convergence, and render the solution field. The solver iterates on the
-// split-phase exchange: a persistent ExchangePlan2D is begun each
-// iteration, the ghost-independent core is relaxed while the halos are in
-// flight, and the rim is relaxed after end_exchange.
+// convergence, and render the solution field. Each iteration is one halo
+// exchange over the block set (a persistent BlockExchangePlan2D, one block
+// per process here), then one Jacobi sweep per block.
 //
 // Runs as a smoke test: prints one SELF-CHECK line and exits nonzero on
 // failure (converged, positive iteration count, and a hot interior).

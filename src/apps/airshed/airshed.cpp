@@ -172,32 +172,7 @@ double AirshedSim::photolysis_rate(double hour) const {
 
 void AirshedSim::transport_step() {
   // Precondition: fresh shadow copies for the upwind/diffusion stencil.
-  // Split-phase: begin the exchange, sweep each block's ghost-independent
-  // core while halos are in flight, complete it (+ BC ghost fill), sweep
-  // the rims.
-  plan_.begin_exchange_all(p_, c_);
-
-  const double u = cfg_.wind_u;
-  const double v = cfg_.wind_v;
-  const double kdiff = cfg_.diffusion;
-  const double dt = cfg_.dt;
-  const auto sweep = [&](std::size_t b, bool rim) {
-    const auto& cg = c_.block(b).grid();
-    auto& ng = cnew_.block(b).grid();
-    const mesh::Region2 all = mesh::interior_region(cg);
-    const mesh::Region2 core = mesh::core_region(cg, 1, all);
-    const auto cell = [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-      ng(i, j) = advect_cell(cg, i, j, u, v, kdiff, dt, dx_, dy_);
-    };
-    if (rim) {
-      mesh::for_rim(all, core, cell);
-    } else {
-      mesh::for_region(core, cell);
-    }
-  };
-  for (std::size_t b = 0; b < c_.size(); ++b) sweep(b, false);
-
-  plan_.end_exchange_all(p_, c_);
+  plan_.exchange_all(p_, c_);
   if (!cfg_.periodic) {
     // Open boundaries: zero-gradient inflow/outflow ghosts on each block
     // touching a global face.
@@ -219,7 +194,20 @@ void AirshedSim::transport_step() {
       }
     }
   }
-  for (std::size_t b = 0; b < c_.size(); ++b) sweep(b, true);
+
+  // Stencil grid operation over each block's whole interior.
+  const double u = cfg_.wind_u;
+  const double v = cfg_.wind_v;
+  const double kdiff = cfg_.diffusion;
+  const double dt = cfg_.dt;
+  for (std::size_t b = 0; b < c_.size(); ++b) {
+    const auto& cg = c_.block(b).grid();
+    auto& ng = cnew_.block(b).grid();
+    mesh::for_region(mesh::interior_region(cg), [&](std::ptrdiff_t i,
+                                                    std::ptrdiff_t j) {
+      ng(i, j) = advect_cell(cg, i, j, u, v, kdiff, dt, dx_, dy_);
+    });
+  }
 
   std::swap(c_, cnew_);
 }

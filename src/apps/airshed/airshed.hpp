@@ -22,11 +22,9 @@
 // structure):
 //   1. transport  — advection by a prescribed wind field (first-order
 //                   upwind) + eddy diffusion: stencil grid operation with a
-//                   boundary exchange precondition. Split-phase: a
-//                   persistent BlockExchangePlan2D round is begun, each
-//                   block's ghost-independent core is swept while halos are
-//                   in flight, and the rims are swept after
-//                   end_exchange_all (+ BC fill);
+//                   boundary exchange precondition. One persistent
+//                   BlockExchangePlan2D round and the BC ghost fill, then
+//                   one sweep over each block's interior;
 //   2. emissions  — NO/NO2/VOC sources at "city" cells (pointwise);
 //   3. chemistry  — the stiff local ODE advanced pointwise (RK4): a
 //                   pointwise grid operation with *no* communication.

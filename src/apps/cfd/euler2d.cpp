@@ -219,13 +219,11 @@ void CfdSim::apply_physical_bcs() {
 }
 
 double CfdSim::step() {
-  // 1. Begin the shadow-copy refresh of every owned block; the halo
-  // messages stay in flight through steps 2 and 3a.
+  // 1. Begin the shadow-copy refresh of every owned block.
   plan_.begin_exchange_all(p_, u_);
 
   // 2. Reduction: global max wave speed -> dt (replicated global). Reads
-  // only interior cells, so it overlaps the exchange — including the
-  // allreduce's own communication.
+  // only interior cells, so it runs while the halo messages are in flight.
   double local_smax = 1e-12;
   for (const auto& b : u_) {
     local_smax = local_max_wave_speed(b.grid(), cfg_.gamma, local_smax);
@@ -233,44 +231,32 @@ double CfdSim::step() {
   const double smax = p_.allreduce(local_smax, mpl::MaxOp{});
   const double dt = cfg_.cfl * std::min(dx_, dy_) / smax;
 
-  // 3. Grid operation: flux-differenced update (reads neighbors of u_,
-  // writes unew_ — disjoint input/output per the archetype's restriction).
-  // 3a: each block's ghost-independent core, overlapped with the exchange;
-  // 3b: complete the exchange, fill physical BCs, then sweep the rims.
+  // 3. Complete the exchange and fill physical BCs.
+  plan_.end_exchange_all(p_, u_);
+  apply_physical_bcs();
+
+  // 4. Grid operation: flux-differenced update of each block's interior
+  // (reads neighbors of u_, writes unew_ — disjoint input/output per the
+  // archetype's restriction).
   const double cx = dt / dx_;
   const double cy = dt / dy_;
-  const auto sweep = [&](std::size_t b, bool rim) {
+  for (std::size_t b = 0; b < u_.size(); ++b) {
     const auto& ug = u_.block(b).grid();
     auto& ng = unew_.block(b).grid();
     const mesh::Region2 all = mesh::interior_region(ug);
-    const mesh::Region2 core = mesh::core_region(ug, 1, all);
     if (cfg_.sweep == mesh::SweepMode::kKernel) {
-      const auto rows = [&](std::ptrdiff_t i, std::ptrdiff_t j0,
-                            std::ptrdiff_t j1) {
+      mesh::kern::sweep_rows(all, [&](std::ptrdiff_t i, std::ptrdiff_t j0,
+                                      std::ptrdiff_t j1) {
         flux_update_row(ug, ng, cfg_.gamma, i, j0, j1, cx, cy);
-      };
-      if (rim) {
-        mesh::kern::sweep_rim_rows(all, core, rows);
-      } else {
-        mesh::kern::sweep_rows(core, rows);
-      }
-      return;
-    }
-    const auto cell = [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-      flux_update_cell(ug, ng, cfg_.gamma, i, j, cx, cy);
-    };
-    if (rim) {
-      mesh::for_rim(all, core, cell);
+      });
     } else {
-      mesh::for_region(core, cell);
+      mesh::for_region(all, [&](std::ptrdiff_t i, std::ptrdiff_t j) {
+        flux_update_cell(ug, ng, cfg_.gamma, i, j, cx, cy);
+      });
     }
-  };
-  for (std::size_t b = 0; b < u_.size(); ++b) sweep(b, false);
-  plan_.end_exchange_all(p_, u_);
-  apply_physical_bcs();
-  for (std::size_t b = 0; b < u_.size(); ++b) sweep(b, true);
+  }
 
-  // 4. Swap current and next states.
+  // 5. Swap current and next states.
   std::swap(u_, unew_);
   return dt;
 }

@@ -10,17 +10,15 @@
 // Numerics: finite volume with Rusanov (local Lax-Friedrichs) fluxes,
 // dimension-by-dimension, CFL-limited explicit Euler stepping.
 //
-// Archetype structure per step (the mesh pattern, split-phase). The
-// domain is a block set (mesh::BlockSet); a rank advances every block it
-// owns, and one grid per rank is the one-block-per-rank case:
+// Archetype structure per step (the mesh pattern). The domain is a block
+// set (mesh::BlockSet); a rank advances every block it owns, and one grid
+// per rank is the one-block-per-rank case:
 //   1. begin the halo exchange (persistent BlockExchangePlan2D: one batched
 //      message per peer rank, on-rank block pairs as local copies),
 //   2. reduction: global max wave speed -> dt (a replicated global) — the
 //      allreduce runs while the halo messages are in flight,
-//   3. grid operation: flux differencing of each block's ghost-independent
-//      core,
-//   4. end the exchange, fill physical BCs at global boundaries, then
-//      flux-difference each block's ghost-dependent rim,
+//   3. end the exchange and fill physical BCs at global boundaries,
+//   4. grid operation: one flux-differencing sweep over each block,
 //   5. swap.
 //
 // Scenario (paper Figs 19-20): a planar Mach-M shock propagating in +x into

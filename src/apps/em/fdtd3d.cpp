@@ -57,25 +57,20 @@ FdtdSim::FdtdSim(mpl::Process& p, const mpl::CartGrid3D& pgrid, const EmConfig& 
   });
 }
 
-void FdtdSim::begin_exchange_e() {
+void FdtdSim::exchange_e() {
+  // All three component exchanges are in flight before any completes.
   plan_ex_.begin_exchange(p_, ex_);
   plan_ey_.begin_exchange(p_, ey_);
   plan_ez_.begin_exchange(p_, ez_);
-}
-
-void FdtdSim::end_exchange_e() {
   plan_ex_.end_exchange(p_, ex_);
   plan_ey_.end_exchange(p_, ey_);
   plan_ez_.end_exchange(p_, ez_);
 }
 
-void FdtdSim::begin_exchange_h() {
+void FdtdSim::exchange_h() {
   plan_hx_.begin_exchange(p_, hx_);
   plan_hy_.begin_exchange(p_, hy_);
   plan_hz_.begin_exchange(p_, hz_);
-}
-
-void FdtdSim::end_exchange_h() {
   plan_hx_.end_exchange(p_, hx_);
   plan_hy_.end_exchange(p_, hy_);
   plan_hz_.end_exchange(p_, hz_);
@@ -160,7 +155,8 @@ void FdtdSim::update_e_pencil(std::ptrdiff_t i, std::ptrdiff_t j,
   }
 }
 
-void FdtdSim::update_h(const mesh::Region3& r) {
+void FdtdSim::update_h() {
+  const mesh::Region3 r = mesh::interior_region(hx_);
   if (cfg_.sweep == mesh::SweepMode::kKernel) {
     mesh::kern::sweep_pencils(r, [&](std::ptrdiff_t i, std::ptrdiff_t j,
                                      std::ptrdiff_t k0, std::ptrdiff_t k1) {
@@ -173,7 +169,8 @@ void FdtdSim::update_h(const mesh::Region3& r) {
   });
 }
 
-void FdtdSim::update_e(const mesh::Region3& r) {
+void FdtdSim::update_e() {
+  const mesh::Region3 r = mesh::interior_region(ex_);
   if (cfg_.sweep == mesh::SweepMode::kKernel) {
     mesh::kern::sweep_pencils(r, [&](std::ptrdiff_t i, std::ptrdiff_t j,
                                      std::ptrdiff_t k0, std::ptrdiff_t k1) {
@@ -186,35 +183,10 @@ void FdtdSim::update_e(const mesh::Region3& r) {
   });
 }
 
-void FdtdSim::update_h_rim(const mesh::Region3& all, const mesh::Region3& core) {
-  if (cfg_.sweep == mesh::SweepMode::kKernel) {
-    mesh::kern::sweep_rim_pencils(
-        all, core, [&](std::ptrdiff_t i, std::ptrdiff_t j, std::ptrdiff_t k0,
-                       std::ptrdiff_t k1) { update_h_pencil(i, j, k0, k1); });
-    return;
-  }
-  mesh::for_rim(all, core, [&](std::ptrdiff_t i, std::ptrdiff_t j,
-                               std::ptrdiff_t k) { update_h_at(i, j, k); });
-}
-
-void FdtdSim::update_e_rim(const mesh::Region3& all, const mesh::Region3& core) {
-  if (cfg_.sweep == mesh::SweepMode::kKernel) {
-    mesh::kern::sweep_rim_pencils(
-        all, core, [&](std::ptrdiff_t i, std::ptrdiff_t j, std::ptrdiff_t k0,
-                       std::ptrdiff_t k1) { update_e_pencil(i, j, k0, k1); });
-    return;
-  }
-  mesh::for_rim(all, core, [&](std::ptrdiff_t i, std::ptrdiff_t j,
-                               std::ptrdiff_t k) { update_e_at(i, j, k); });
-}
-
 void FdtdSim::apply_pec() {
   // Tangential E = 0 on the global boundary faces.
   const auto n = cfg_.n;
-  const auto zero_face = [n](mesh::Grid3D<double>& g, int axis, bool tangential_a,
-                             bool tangential_b) {
-    (void)tangential_a;
-    (void)tangential_b;
+  const auto zero_face = [n](mesh::Grid3D<double>& g, int axis) {
     const auto nx = static_cast<std::ptrdiff_t>(g.nx());
     const auto ny = static_cast<std::ptrdiff_t>(g.ny());
     const auto nz = static_cast<std::ptrdiff_t>(g.nz());
@@ -248,31 +220,21 @@ void FdtdSim::apply_pec() {
     }
   };
   // Ey, Ez tangential at x faces; Ex, Ez at y faces; Ex, Ey at z faces.
-  zero_face(ey_, 0, true, true);
-  zero_face(ez_, 0, true, true);
-  zero_face(ex_, 1, true, true);
-  zero_face(ez_, 1, true, true);
-  zero_face(ex_, 2, true, true);
-  zero_face(ey_, 2, true, true);
+  zero_face(ey_, 0);
+  zero_face(ez_, 0);
+  zero_face(ex_, 1);
+  zero_face(ez_, 1);
+  zero_face(ex_, 2);
+  zero_face(ey_, 2);
 }
 
 void FdtdSim::step() {
-  // Split-phase leapfrog: each half-step updates the ghost-independent core
-  // while the other field's halos are in flight, then the rim once they
-  // have arrived. Per-point arithmetic is identical to the blocking
-  // schedule; only the sweep order differs.
-  const mesh::Region3 all = mesh::interior_region(ex_);
-  const mesh::Region3 core = mesh::core_region(ex_, 1, all);
-
-  begin_exchange_e();
-  update_h(core);
-  end_exchange_e();
-  update_h_rim(all, core);
-
-  begin_exchange_h();
-  update_e(core);
-  end_exchange_h();
-  update_e_rim(all, core);
+  // Leapfrog: each half-step refreshes the other field's halos, then
+  // sweeps the whole interior.
+  exchange_e();
+  update_h();
+  exchange_h();
+  update_e();
 
   if (source_enabled_) {
     // Soft source: additive sinusoid with a smooth turn-on ramp.
@@ -333,8 +295,7 @@ double FdtdSim::max_abs_div_h() {
   // at rounding level for all time. Ghosts must be fresh before evaluating;
   // points whose +1 neighbor crosses the global boundary are skipped (the
   // PEC wall truncates the staggered cell there).
-  begin_exchange_h();
-  end_exchange_h();
+  exchange_h();
   double local = 0.0;
   const auto n = cfg_.n;
   for_interior3(hx_, [&](std::ptrdiff_t i, std::ptrdiff_t j, std::ptrdiff_t k) {

@@ -14,15 +14,13 @@
 // with a dielectric sphere scatterer (relative permittivity eps_r), a soft
 // sinusoidal point source on Ez, and PEC (perfect electric conductor) walls.
 //
-// Archetype structure per step (split-phase since PR 2): begin the E halo
-// exchanges for all three components at once -> update H over the ghost-
-// independent core while the E halos are in flight -> end the E exchanges ->
-// update the H rim; then the same begin/core/end/rim pattern for the E
-// update against the H halos. The H update reads E at +1 neighbors and the
-// E update reads H at -1 neighbors, exactly the ghost-width-1 stencil
-// pattern the mesh archetype supports; each field owns a persistent
-// ExchangePlan3D (distinct tag blocks, so all three component exchanges of
-// a phase are concurrently in flight).
+// Archetype structure per step: exchange the E halos (all three component
+// exchanges in flight together), then update H over the whole interior;
+// then exchange the H halos and update E. The H update reads E at +1
+// neighbors and the E update reads H at -1 neighbors, exactly the
+// ghost-width-1 stencil pattern the mesh archetype supports; each field
+// owns a persistent ExchangePlan3D on its own tag block, which is what lets
+// a phase's three exchanges be concurrently in flight.
 //
 // Yee property exploited by the tests: the discrete divergence of H (and of
 // eps*E in charge-free regions away from the source) is *exactly* conserved
@@ -90,15 +88,11 @@ class FdtdSim {
                        std::ptrdiff_t k1);
   void update_e_pencil(std::ptrdiff_t i, std::ptrdiff_t j, std::ptrdiff_t k0,
                        std::ptrdiff_t k1);
-  void update_h(const mesh::Region3& r);
-  void update_e(const mesh::Region3& r);
-  void update_h_rim(const mesh::Region3& all, const mesh::Region3& core);
-  void update_e_rim(const mesh::Region3& all, const mesh::Region3& core);
+  void update_h();
+  void update_e();
   void apply_pec();
-  void begin_exchange_e();
-  void end_exchange_e();
-  void begin_exchange_h();
-  void end_exchange_h();
+  void exchange_e();
+  void exchange_h();
 
   mpl::Process& p_;
   const mpl::CartGrid3D& pgrid_;

@@ -91,9 +91,8 @@ PoissonResult poisson_process(mpl::Process& p, const mesh::BlockLayout2D& layout
 
   // Intersection of the whole grid's interior with each block
   // (xintersect/yintersect in Fig 14): the local index bounds of the points
-  // a block updates. That update region splits into the ghost-independent
-  // core (swept while the halos are in flight) and the rim (swept after).
-  std::vector<mesh::Region2> update(uk.size()), core(uk.size());
+  // a block updates.
+  std::vector<mesh::Region2> update(uk.size());
   for (std::size_t b = 0; b < uk.size(); ++b) {
     const auto& blk = uk.block(b);
     const auto ilo = static_cast<std::ptrdiff_t>(blk.x_range().lo == 0 ? 1 : 0);
@@ -103,7 +102,6 @@ PoissonResult poisson_process(mpl::Process& p, const mesh::BlockLayout2D& layout
     const auto jhi = static_cast<std::ptrdiff_t>(blk.ny()) -
                      (blk.y_range().hi == ny ? 1 : 0);
     update[b] = mesh::Region2{ilo, ihi, jlo, jhi};
-    core[b] = mesh::core_region(blk.grid(), 1, update[b]);
   }
 
   // The replicated global variable controlling the loop (Fig 14's diffmax):
@@ -120,58 +118,36 @@ PoissonResult poisson_process(mpl::Process& p, const mesh::BlockLayout2D& layout
   const bool kernel = prob.sweep == mesh::SweepMode::kKernel;
   PoissonResult result;
   while (diffmax.get() > prob.tolerance && result.iterations < prob.max_iters) {
+    // Precondition of the stencil grid operation: fresh shadow copies.
+    plan.exchange_all(p, uk);
+
+    // Grid operation on every block's update region. The kernel path is one
+    // fused pass that writes ukp and folds the reduction's local max; the
+    // legacy path is the per-point form, with the max taken after the sweep.
     double local_diffmax = 0.0;
-    // Grid operation on block b: its core while the exchange is in flight,
-    // or its rim after it completes. The kernel path is one fused pass that
-    // writes ukp and folds the reduction's local max; the legacy path is
-    // the per-point form, with the max taken after the sweep.
-    const auto relax = [&](std::size_t b, bool rim) {
+    for (std::size_t b = 0; b < uk.size(); ++b) {
       auto& out = ukp.block(b).grid();
       const auto& in = uk.block(b).grid();
       const auto& f = fv.block(b).grid();
+      const mesh::Region2 r = update[b];
       if (kernel) {
-        const auto rows = [&](std::ptrdiff_t i, std::ptrdiff_t j0,
-                              std::ptrdiff_t j1) {
-          local_diffmax = mesh::kern::jacobi_row_maxdiff(
-              out.row(i), in.row(i - 1), in.row(i), in.row(i + 1), f.row(i),
-              h2, j0, j1, local_diffmax);
-        };
-        if (rim) {
-          mesh::kern::sweep_rim_rows(update[b], core[b], rows);
-        } else {
-          mesh::kern::sweep_rows_tiled(
-              core[b],
-              mesh::kern::auto_tile_j(5 * sizeof(double), core[b].j1 - core[b].j0),
-              rows);
-        }
-        return;
+        mesh::kern::sweep_rows_tiled(
+            r, mesh::kern::auto_tile_j(5 * sizeof(double), r.j1 - r.j0),
+            [&](std::ptrdiff_t i, std::ptrdiff_t j0, std::ptrdiff_t j1) {
+              local_diffmax = mesh::kern::jacobi_row_maxdiff(
+                  out.row(i), in.row(i - 1), in.row(i), in.row(i + 1),
+                  f.row(i), h2, j0, j1, local_diffmax);
+            });
+        continue;
       }
-      const auto point = [&](std::ptrdiff_t i, std::ptrdiff_t j) {
+      mesh::for_region(r, [&](std::ptrdiff_t i, std::ptrdiff_t j) {
         out(i, j) = (in(i - 1, j) + in(i + 1, j) + in(i, j - 1) + in(i, j + 1) -
                      h * h * f(i, j)) *
                     0.25;
-      };
-      if (rim) {
-        mesh::for_rim(update[b], core[b], point);
-      } else {
-        mesh::for_region(core[b], point);
-      }
-    };
-
-    // Precondition of the stencil grid operation: fresh shadow copies —
-    // begun here, completed only once the core sweeps no longer hide them.
-    plan.begin_exchange_all(p, uk);
-    for (std::size_t b = 0; b < uk.size(); ++b) relax(b, false);
-    plan.end_exchange_all(p, uk);
-    for (std::size_t b = 0; b < uk.size(); ++b) relax(b, true);
-    if (!kernel) {
-      for (std::size_t b = 0; b < uk.size(); ++b) {
-        const auto& out = ukp.block(b).grid();
-        const auto& in = uk.block(b).grid();
-        mesh::for_region(update[b], [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-          local_diffmax = std::max(local_diffmax, std::abs(out(i, j) - in(i, j)));
-        });
-      }
+      });
+      mesh::for_region(r, [&](std::ptrdiff_t i, std::ptrdiff_t j) {
+        local_diffmax = std::max(local_diffmax, std::abs(out(i, j) - in(i, j)));
+      });
     }
 
     // Reduction: local max then allreduce; postcondition re-establishes the

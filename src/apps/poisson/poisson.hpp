@@ -16,10 +16,10 @@
 // boundary exchange over all of a rank's blocks, one local grid operation
 // per block, and one allreduce(max) that re-establishes copy consistency
 // of the replicated global `diffmax` before it controls the loop. The
-// exchange is split-phase (a persistent BlockExchangePlan2D): each block's
-// ghost-independent core is relaxed while the halo messages are in flight,
-// the rims after end_exchange_all. Fig 14's one section per process on an
-// NPX x NPY process grid is the one-block-per-rank case of this driver.
+// exchange is a persistent BlockExchangePlan2D round; once it completes,
+// each block is relaxed in one sweep over its whole update region. Fig 14's
+// one section per process on an NPX x NPY process grid is the
+// one-block-per-rank case of this driver.
 //
 // Determinism note: each interior point's update uses identical arithmetic
 // in both versions and the convergence test combines with max (exact under

@@ -16,9 +16,11 @@
 // Exchanging is then:
 //
 //     bplan.begin_exchange_all(p, blocks);   // one send per peer rank
-//     ... per-block core sweeps ...
+//     ... work that reads no ghosts ...
 //     bplan.end_exchange_all(p, blocks);     // one receive per peer rank
-//     ... per-block rim sweeps ...
+//     ... per-block sweeps ...
+//
+// exchange_all runs the two back to back.
 //
 // Determinism: both sides of a rank boundary derive the *same* entry list
 // in the *same* order from nothing but the (replicated) layout + owner

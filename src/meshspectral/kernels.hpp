@@ -10,15 +10,18 @@
 //
 //   * SweepMode            — per-app switch between the kernel sweeps and
 //                            the legacy per-point paths (kept as the oracle
-//                            for the bitwise-equality test battery);
+//                            for the bitwise-equality test battery); either
+//                            way an app step is one exchange, then one
+//                            sweep per block;
 //   * sweep_rows / sweep_pencils
 //                          — row-segment / pencil-segment drivers matching
 //                            for_region's traversal order;
 //   * sweep_rows_tiled     — column-blocked variant: j-tiles sized to L1 so
 //                            stencil input rows stay cached across the i
 //                            sweep when rows are wider than cache;
-//   * sweep_rim_rows / sweep_rim_pencils
-//                          — rim drivers matching for_rim's order;
+//   * sweep_rim_rows       — 2-D rim driver matching for_rim's order, for
+//                            the overlapped stencil (ops.hpp) and the
+//                            benches that time a core/rim split;
 //   * jacobi_row / jacobi_sweep[_tiled], absdiff_max_row, copy_row
 //                          — the shared 5-point Jacobi kernels used by the
 //                            ablation bench and the step-replay probe;
@@ -141,29 +144,6 @@ template <typename PencilFn>
 void sweep_pencils(Region3 r, PencilFn&& body) {
   for (std::ptrdiff_t i = r.i0; i < r.i1; ++i)
     for (std::ptrdiff_t j = r.j0; j < r.j1; ++j) body(i, j, r.k0, r.k1);
-}
-
-/// 3-D rim driver matching for_rim(Region3)'s order, pencil segments.
-template <typename PencilFn>
-void sweep_rim_pencils(Region3 r, Region3 core, PencilFn&& body) {
-  if (core.empty()) {
-    sweep_pencils(r, body);
-    return;
-  }
-  for (std::ptrdiff_t i = r.i0; i < r.i1; ++i) {
-    if (i < core.i0 || i >= core.i1) {
-      for (std::ptrdiff_t j = r.j0; j < r.j1; ++j) body(i, j, r.k0, r.k1);
-      continue;
-    }
-    for (std::ptrdiff_t j = r.j0; j < r.j1; ++j) {
-      if (j < core.j0 || j >= core.j1) {
-        body(i, j, r.k0, r.k1);
-      } else {
-        if (r.k0 < core.k0) body(i, j, r.k0, core.k0);
-        if (core.k1 < r.k1) body(i, j, core.k1, r.k1);
-      }
-    }
-  }
 }
 
 // ------------------------------------------------- shared row kernels --

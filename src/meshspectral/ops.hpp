@@ -113,51 +113,11 @@ template <typename T>
           0, static_cast<std::ptrdiff_t>(grid.nz())};
 }
 
-template <typename T>
-[[nodiscard]] Region3 core_region(const Grid3D<T>& grid, std::ptrdiff_t w,
-                                  Region3 r) {
-  return {std::max(r.i0, w),
-          std::min(r.i1, static_cast<std::ptrdiff_t>(grid.nx()) - w),
-          std::max(r.j0, w),
-          std::min(r.j1, static_cast<std::ptrdiff_t>(grid.ny()) - w),
-          std::max(r.k0, w),
-          std::min(r.k1, static_cast<std::ptrdiff_t>(grid.nz()) - w)};
-}
-template <typename T>
-[[nodiscard]] Region3 core_region(const Grid3D<T>& grid, std::ptrdiff_t w) {
-  return core_region(grid, w, interior_region(grid));
-}
-
 template <typename F>
 void for_region(Region3 r, F&& f) {
   for (std::ptrdiff_t i = r.i0; i < r.i1; ++i) {
     for (std::ptrdiff_t j = r.j0; j < r.j1; ++j) {
       for (std::ptrdiff_t k = r.k0; k < r.k1; ++k) f(i, j, k);
-    }
-  }
-}
-
-/// 3-D rim traversal, ascending (i, j, k) order (see the 2-D overload).
-template <typename F>
-void for_rim(Region3 r, Region3 core, F&& f) {
-  if (core.empty()) {
-    for_region(r, f);
-    return;
-  }
-  for (std::ptrdiff_t i = r.i0; i < r.i1; ++i) {
-    if (i < core.i0 || i >= core.i1) {
-      for (std::ptrdiff_t j = r.j0; j < r.j1; ++j) {
-        for (std::ptrdiff_t k = r.k0; k < r.k1; ++k) f(i, j, k);
-      }
-      continue;
-    }
-    for (std::ptrdiff_t j = r.j0; j < r.j1; ++j) {
-      if (j < core.j0 || j >= core.j1) {
-        for (std::ptrdiff_t k = r.k0; k < r.k1; ++k) f(i, j, k);
-      } else {
-        for (std::ptrdiff_t k = r.k0; k < core.k0; ++k) f(i, j, k);
-        for (std::ptrdiff_t k = core.k1; k < r.k1; ++k) f(i, j, k);
-      }
     }
   }
 }

@@ -107,9 +107,6 @@ struct Region2 {
 /// 3-D equivalent of Region2.
 struct Region3 {
   std::ptrdiff_t i0 = 0, i1 = 0, j0 = 0, j1 = 0, k0 = 0, k1 = 0;
-  [[nodiscard]] bool empty() const noexcept {
-    return i0 >= i1 || j0 >= j1 || k0 >= k1;
-  }
 };
 
 namespace detail {

@@ -256,7 +256,11 @@ TEST(CfdBlocks, OversubscribedDistributionsMatchReferenceBitwise) {
     over.nby = 2;
     mesh::BlockConfig rr = over;
     rr.owner = mesh::distribute_blocks_round_robin(8, np);
-    for (const auto& config : {over, rr}) {
+    mesh::BlockConfig thin;  // 1-2 cells per block on both axes
+    thin.nbx = 32;
+    thin.nby = 11;
+    thin.owner = mesh::distribute_blocks_round_robin(32 * 11, np);
+    for (const auto& config : {over, rr, thin}) {
       const auto blk = app::run_shock_interface(cfg, kSteps, np, config);
       for (std::size_t i = 0; i < reference.rows(); ++i) {
         for (std::size_t j = 0; j < reference.cols(); ++j) {

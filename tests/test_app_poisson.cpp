@@ -251,6 +251,11 @@ TEST(PoissonBlocks, AnyDistributionMatchesReferenceBitwise) {
     lopsided.owner.assign(8, 0);
     lopsided.owner[5] = np - 1;
     configs.push_back(lopsided);
+    mesh::BlockConfig thin;  // 1-2 cells per block on both axes
+    thin.nbx = 17;
+    thin.nby = 11;
+    thin.owner = mesh::distribute_blocks_round_robin(17 * 11, np);
+    configs.push_back(thin);
 
     for (const auto& config : configs) {
       const auto blk = app::poisson_spmd(prob, np, config);
